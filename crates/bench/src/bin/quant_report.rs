@@ -16,6 +16,10 @@
 //! * **Accuracy guardrail** — BER at the `fig09_ber_vs_compression` 3x3/80 MHz
 //!   point (E1, 1/8 compression) with the int8 tail must stay within the
 //!   quantized-f32 envelope ([`splitbeam_bench::ber_within_envelope`]).
+//! * **Row ladder** — the dispatched int8 GEMM alone at the serve tail shape
+//!   for 1..=8 rows (one row per report in a micro-batch): median ns per call
+//!   and per row, so the cost of the rows left over after the 4-row panels
+//!   shows next to the full panels.
 //!
 //! Usage:
 //! ```text
@@ -26,7 +30,9 @@
 //! The binary exits non-zero when any verdict fails — CI runs it as the PR 8
 //! regression gate.
 
-use mimo_math::kernel::int8::Int8Kernel;
+use mimo_math::kernel::int8::{
+    gemm_u8i8_i32, pack_weights_k4, padded_k, selected_int8, Int8Kernel,
+};
 use mimo_math::kernel::{set_kernel, KernelChoice};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -35,7 +41,7 @@ use splitbeam::fused::{QuantizedTail, TailWeights};
 use splitbeam::model::SplitBeamModel;
 use splitbeam::quantization::QuantizedFeedback;
 use splitbeam::wire::decode_feedback;
-use splitbeam_bench::report::{kernel_dispatch_value, object, tune_value, JsonReport};
+use splitbeam_bench::report::{kernel_dispatch_value, object, tune_value, JsonReport, JsonValue};
 use splitbeam_bench::timing::{gb_per_s, measure_pair, num_threads};
 use splitbeam_bench::{
     ber_within_envelope, dataset, env_usize, measure_ber, train_splitbeam, FeedbackScheme, Workload,
@@ -45,10 +51,66 @@ use splitbeam_serve::driver::{
     build_server, generate_traffic, serve_traffic, ServeMode, SimConfig, SimTraffic,
 };
 use splitbeam_serve::server::ApServer;
+use std::time::Instant;
 use wifi_phy::ofdm::{Bandwidth, MimoConfig};
 
 /// The PR index this report seeds.
 const PR_INDEX: u32 = 8;
+
+/// Largest batch of the `int8_rows` ladder: two full 4-row panels, so every
+/// leftover-row count (1..=3) appears both alone and after a full panel.
+const LADDER_ROWS: usize = 8;
+
+/// Timed repetitions per ladder rung, after one warm-up repetition.
+const LADDER_REPS: usize = 200;
+
+/// Median ns per call of the dispatched int8 GEMM at depth `k` and width
+/// `n`, for every batch of 1..=[`LADDER_ROWS`] rows. Each repetition times
+/// every rung once in turn, so frequency scaling and background load drift
+/// over all rungs alike instead of favouring whichever ran in a quiet spell.
+/// The GEMM's speed does not depend on operand values, so deterministic
+/// synthetic operands stand in for real activations and weights.
+fn int8_rows_ladder(k: usize, n: usize) -> Vec<f64> {
+    let kernel = selected_int8();
+    let k_pad = padded_k(k);
+    let a: Vec<u8> = (0..LADDER_ROWS * k_pad)
+        .map(|i| ((i * 37 + 11) % 128) as u8)
+        .collect();
+    let wq: Vec<i8> = (0..k * n)
+        .map(|i| (((i * 97 + 5) % 255) as i64 - 127) as i8)
+        .collect();
+    let b = pack_weights_k4(&wq, k, n);
+    let mut out = vec![0i32; LADDER_ROWS * n];
+    let mut samples: Vec<Vec<f64>> = (0..LADDER_ROWS)
+        .map(|_| Vec::with_capacity(LADDER_REPS))
+        .collect();
+    for rep in 0..=LADDER_REPS {
+        for (rung, rows) in samples.iter_mut().zip(1usize..) {
+            let start = Instant::now();
+            gemm_u8i8_i32(
+                kernel,
+                &a[..rows * k_pad],
+                &b,
+                &mut out[..rows * n],
+                rows,
+                k_pad,
+                n,
+            );
+            let ns = start.elapsed().as_nanos() as f64;
+            std::hint::black_box(&mut out);
+            if rep > 0 {
+                rung.push(ns);
+            }
+        }
+    }
+    samples
+        .into_iter()
+        .map(|mut rung| {
+            rung.sort_by(f64::total_cmp);
+            rung[rung.len() / 2]
+        })
+        .collect()
+}
 
 /// Batched-serving payloads/s of both tail-weight modes under auto dispatch,
 /// measured with alternating batches ([`measure_pair`]) so frequency scaling
@@ -235,6 +297,12 @@ fn main() {
     );
     let ber_ok = ber_within_envelope(ber_int8, ber_f32);
 
+    // Row ladder at the serve tail shape: the first (at this configuration,
+    // the only) tail layer.
+    let first_tail_layer = &model.tail().layers()[0];
+    let (ladder_k, ladder_n) = (first_tail_layer.input_dim(), first_tail_layer.output_dim());
+    let ladder_ns = int8_rows_ladder(ladder_k, ladder_n);
+
     println!(
         "serve e2e   f32 {f32_pps:>10.0} payloads/s ({f32_gb:.1} GB/s weights)   int8 \
          {int8_pps:>10.0} payloads/s ({int8_gb:.1} GB/s weights)   speedup {speedup:.2}x \
@@ -245,6 +313,19 @@ fn main() {
          scalar {int8_exact_scalar} / auto {int8_exact_auto}"
     );
     println!("BER 3x3/80  f32 {ber_f32:.4}   int8 {ber_int8:.4}   within envelope {ber_ok}");
+    println!(
+        "int8 rows   {} GEMM, k {ladder_k} (padded {}) x n {ladder_n}, median of {LADDER_REPS} \
+         interleaved reps:",
+        selected_int8().name(),
+        padded_k(ladder_k)
+    );
+    for (rows, ns) in (1usize..).zip(&ladder_ns) {
+        println!(
+            "  rows {rows}: {:>8.1} us/call  {:>7.1} us/row",
+            ns / 1e3,
+            ns / 1e3 / rows as f64
+        );
+    }
 
     let report = JsonReport::new()
         .field("pr", PR_INDEX)
@@ -277,6 +358,30 @@ fn main() {
                 ("config", "3x3 80MHz E1 1/8".into()),
                 ("f32_ber", ber_f32.into()),
                 ("int8_ber", ber_int8.into()),
+            ]),
+        )
+        .field(
+            "int8_rows",
+            object(vec![
+                ("kernel", selected_int8().name().into()),
+                ("k", ladder_k.into()),
+                ("k_pad", padded_k(ladder_k).into()),
+                ("n", ladder_n.into()),
+                ("reps", LADDER_REPS.into()),
+                (
+                    "ladder",
+                    (1usize..)
+                        .zip(&ladder_ns)
+                        .map(|(rows, &ns)| {
+                            object(vec![
+                                ("rows", rows.into()),
+                                ("ns_per_call", ns.into()),
+                                ("ns_per_row", (ns / rows as f64).into()),
+                            ])
+                        })
+                        .collect::<Vec<JsonValue>>()
+                        .into(),
+                ),
             ]),
         )
         .field(

@@ -336,6 +336,24 @@ pub(super) mod x86 {
         unsafe { a.add(4 * g).cast::<i32>().read_unaligned() }
     }
 
+    /// [`super::dot4`] over raw pointers, so the scalar column tail of the
+    /// VNNI panels carries no per-byte bounds checks. At the 1452-column
+    /// serve tail layer, the bounds-checked `dot4` on the 12 tail columns
+    /// took about a third of a 4-row GEMM call.
+    ///
+    /// # Safety
+    /// Caller must guarantee 4 readable bytes at both `a` and `w`.
+    #[inline(always)]
+    unsafe fn dot4_raw(a: *const u8, w: *const i8) -> i32 {
+        // SAFETY: the caller guarantees 4 readable bytes at `a` and at `w`,
+        // and `q < 4`.
+        unsafe {
+            (0..4)
+                .map(|q| i32::from(*a.add(q)) * i32::from(*w.add(q)))
+                .sum()
+        }
+    }
+
     /// AVX2 `maddubs` arm: outer loop over `group_block`-deep k-group blocks
     /// (the corresponding packed-weight rows stream sequentially and are
     /// reused across the whole batch from cache), middle loop over 4-row
@@ -568,8 +586,11 @@ pub(super) mod x86 {
         }
     }
 
-    /// AVX-512 VNNI arm: identical blocking to [`gemm_avx2`], but one
-    /// `dpbusd` per 4-deep group over 16 columns.
+    /// AVX-512 VNNI arm: the same k-group blocking as [`gemm_avx2`], one
+    /// `dpbusd` per 4-deep group over 16 columns, and every row of the batch
+    /// in a register-blocked panel. With `panel4`, rows run in 4 x 64 panels
+    /// and the `rows % 4` leftover rows in one 3 x 64, 2 x 64 or 1 x 128
+    /// panel; without it, every row runs in a 1 x 128 panel.
     ///
     /// # Safety
     /// Caller must ensure the CPU supports AVX-512 F/BW/VL/VNNI and the
@@ -594,38 +615,32 @@ pub(super) mod x86 {
             for g0 in (0..groups).step_by(block) {
                 let g1 = (g0 + block).min(groups);
                 let mut r = 0;
-                if panel4 {
-                    while r + 4 <= rows {
-                        panel4_vnni(
-                            &a[r * k_pad..(r + 4) * k_pad],
-                            b,
-                            &mut out[r * n..(r + 4) * n],
-                            k_pad,
-                            n,
-                            g0,
-                            g1,
-                        );
-                        r += 4;
-                    }
-                }
                 while r < rows {
-                    panel1_vnni(
-                        &a[r * k_pad..(r + 1) * k_pad],
-                        b,
-                        &mut out[r * n..(r + 1) * n],
-                        n,
-                        g0,
-                        g1,
-                    );
-                    r += 1;
+                    let take = if panel4 { (rows - r).min(4) } else { 1 };
+                    let a = &a[r * k_pad..(r + take) * k_pad];
+                    let o = &mut out[r * n..(r + take) * n];
+                    match take {
+                        4 => panel_vnni::<4, 4>(a, b, o, k_pad, n, g0, g1),
+                        3 => panel_vnni::<3, 4>(a, b, o, k_pad, n, g0, g1),
+                        2 => panel_vnni::<2, 4>(a, b, o, k_pad, n, g0, g1),
+                        _ => panel_vnni::<1, 8>(a, b, o, k_pad, n, g0, g1),
+                    }
+                    r += take;
                 }
             }
         }
     }
 
-    /// Four output rows over groups `g0..g1`, 16 columns per `dpbusd`.
+    /// `R` output rows over groups `g0..g1`: `16 * T`-column tiles, then
+    /// 16-column tiles for the narrow remainder, then the scalar `dot4` tail.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX-512 F/BW/VL/VNNI support, `a` holding `R`
+    /// rows of `k_pad` bytes, `o` holding `R` rows of `n` slots, `b` the
+    /// K4-packed `k_pad x n` weights and `g1 <= k_pad / 4`.
+    #[inline]
     #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vnni")]
-    unsafe fn panel4_vnni(
+    unsafe fn panel_vnni<const R: usize, const T: usize>(
         a: &[u8],
         b: &[i8],
         o: &mut [i32],
@@ -639,88 +654,24 @@ pub(super) mod x86 {
             // The first k-block (g0 == 0) overwrites `out`, later blocks fold on
             // top — so the caller never has to pre-zero the output.
             let fold = g0 != 0;
-            let (a0, rest) = a.split_at(k_pad);
-            let (a1, rest) = rest.split_at(k_pad);
-            let (a2, a3) = rest.split_at(k_pad);
-            let (p0, p1, p2, p3) = (a0.as_ptr(), a1.as_ptr(), a2.as_ptr(), a3.as_ptr());
+            let ap: [*const u8; R] = core::array::from_fn(|r| a[r * k_pad..].as_ptr());
             let bp = b.as_ptr();
             let op = o.as_mut_ptr();
             let mut j = 0;
-            // Two 16-column tiles per pass (eight in-register accumulators): each
-            // broadcast activation quad feeds two weight vectors, so the loop
-            // retires ~one dpbusd per issue slot instead of stalling on
-            // broadcast setup. dpbusd accumulates in-register; fold into the
-            // output once per k-block (integer adds — exact regardless of the
-            // split).
-            while j + 32 <= n {
-                let mut acc00 = _mm512_setzero_si512();
-                let mut acc01 = _mm512_setzero_si512();
-                let mut acc10 = _mm512_setzero_si512();
-                let mut acc11 = _mm512_setzero_si512();
-                let mut acc20 = _mm512_setzero_si512();
-                let mut acc21 = _mm512_setzero_si512();
-                let mut acc30 = _mm512_setzero_si512();
-                let mut acc31 = _mm512_setzero_si512();
-                for g in g0..g1 {
-                    let w0 = _mm512_loadu_si512(bp.add((g * n + j) * 4).cast());
-                    let w1 = _mm512_loadu_si512(bp.add((g * n + j + 16) * 4).cast());
-                    let q0 = _mm512_set1_epi32(quad(p0, g));
-                    let q1 = _mm512_set1_epi32(quad(p1, g));
-                    let q2 = _mm512_set1_epi32(quad(p2, g));
-                    let q3 = _mm512_set1_epi32(quad(p3, g));
-                    acc00 = _mm512_dpbusd_epi32(acc00, q0, w0);
-                    acc01 = _mm512_dpbusd_epi32(acc01, q0, w1);
-                    acc10 = _mm512_dpbusd_epi32(acc10, q1, w0);
-                    acc11 = _mm512_dpbusd_epi32(acc11, q1, w1);
-                    acc20 = _mm512_dpbusd_epi32(acc20, q2, w0);
-                    acc21 = _mm512_dpbusd_epi32(acc21, q2, w1);
-                    acc30 = _mm512_dpbusd_epi32(acc30, q3, w0);
-                    acc31 = _mm512_dpbusd_epi32(acc31, q3, w1);
-                }
-                for (row, (lo, hi)) in [
-                    (acc00, acc01),
-                    (acc10, acc11),
-                    (acc20, acc21),
-                    (acc30, acc31),
-                ]
-                .into_iter()
-                .enumerate()
-                {
-                    let s0 = op.add(row * n + j);
-                    let s1 = op.add(row * n + j + 16);
-                    _mm512_storeu_si512(s0.cast(), _mm512_add_epi32(seed_avx512(s0, fold), lo));
-                    _mm512_storeu_si512(s1.cast(), _mm512_add_epi32(seed_avx512(s1, fold), hi));
-                }
-                j += 32;
+            while j + 16 * T <= n {
+                tile_vnni::<R, T>(ap, bp, op, n, j, g0, g1, fold);
+                j += 16 * T;
             }
             while j + 16 <= n {
-                let mut acc0 = _mm512_setzero_si512();
-                let mut acc1 = _mm512_setzero_si512();
-                let mut acc2 = _mm512_setzero_si512();
-                let mut acc3 = _mm512_setzero_si512();
-                for g in g0..g1 {
-                    let w = _mm512_loadu_si512(bp.add((g * n + j) * 4).cast());
-                    acc0 = _mm512_dpbusd_epi32(acc0, _mm512_set1_epi32(quad(p0, g)), w);
-                    acc1 = _mm512_dpbusd_epi32(acc1, _mm512_set1_epi32(quad(p1, g)), w);
-                    acc2 = _mm512_dpbusd_epi32(acc2, _mm512_set1_epi32(quad(p2, g)), w);
-                    acc3 = _mm512_dpbusd_epi32(acc3, _mm512_set1_epi32(quad(p3, g)), w);
-                }
-                let s0 = op.add(j);
-                let s1 = op.add(n + j);
-                let s2 = op.add(2 * n + j);
-                let s3 = op.add(3 * n + j);
-                _mm512_storeu_si512(s0.cast(), _mm512_add_epi32(seed_avx512(s0, fold), acc0));
-                _mm512_storeu_si512(s1.cast(), _mm512_add_epi32(seed_avx512(s1, fold), acc1));
-                _mm512_storeu_si512(s2.cast(), _mm512_add_epi32(seed_avx512(s2, fold), acc2));
-                _mm512_storeu_si512(s3.cast(), _mm512_add_epi32(seed_avx512(s3, fold), acc3));
+                tile_vnni::<R, 1>(ap, bp, op, n, j, g0, g1, fold);
                 j += 16;
             }
             while j < n {
-                for (row, ar) in [a0, a1, a2, a3].into_iter().enumerate() {
+                for (row, &a_r) in ap.iter().enumerate() {
                     let slot = op.add(row * n + j);
                     let mut acc = seed_scalar(slot, fold);
                     for g in g0..g1 {
-                        acc += super::dot4(ar, g, b, (g * n + j) * 4);
+                        acc += dot4_raw(a_r.add(4 * g), bp.add((g * n + j) * 4));
                     }
                     *slot = acc;
                 }
@@ -729,36 +680,55 @@ pub(super) mod x86 {
         }
     }
 
-    /// One output row over groups `g0..g1`, 16 columns per `dpbusd`.
+    /// One `R x 16T` tile at column `j` over groups `g0..g1`, held in `R * T`
+    /// zmm accumulators: per k-group, `T` weight loads feed `R` broadcast
+    /// activation quads, so every load serves `R` independent `dpbusd`
+    /// chains instead of one latency-bound chain. The sums are folded into
+    /// the output once per k-block (integer adds — exact regardless of the
+    /// split).
+    ///
+    /// # Safety
+    /// Caller must ensure AVX-512 F/BW/VL/VNNI support, `ap` pointing at `R`
+    /// activation rows readable through group `g1 - 1`, `bp` at K4-packed
+    /// weights of width `n` readable through group `g1 - 1`, and `op` at `R`
+    /// output rows of stride `n` with `j + 16 * T <= n`.
+    // Every argument is a pointer, a dimension or a blocking bound the
+    // tile needs; a struct would only rename them.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
     #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vnni")]
-    unsafe fn panel1_vnni(a: &[u8], b: &[i8], o: &mut [i32], n: usize, g0: usize, g1: usize) {
+    unsafe fn tile_vnni<const R: usize, const T: usize>(
+        ap: [*const u8; R],
+        bp: *const i8,
+        op: *mut i32,
+        n: usize,
+        j: usize,
+        g0: usize,
+        g1: usize,
+        fold: bool,
+    ) {
         // SAFETY: the caller upholds this fn's `# Safety` contract: the required target features are enabled and every pointer/shape argument describes the buffers exactly.
         unsafe {
-            let fold = g0 != 0;
-            let ap = a.as_ptr();
-            let bp = b.as_ptr();
-            let op = o.as_mut_ptr();
-            let mut j = 0;
-            while j + 16 <= n {
-                let mut acc = _mm512_setzero_si512();
-                for g in g0..g1 {
-                    let w = _mm512_loadu_si512(bp.add((g * n + j) * 4).cast());
-                    acc = _mm512_dpbusd_epi32(acc, _mm512_set1_epi32(quad(ap, g)), w);
+            let mut acc = [[_mm512_setzero_si512(); T]; R];
+            for g in g0..g1 {
+                let w: [__m512i; T] = core::array::from_fn(|t| {
+                    _mm512_loadu_si512(bp.add((g * n + j + 16 * t) * 4).cast())
+                });
+                for (acc_r, &a_r) in acc.iter_mut().zip(&ap) {
+                    let q = _mm512_set1_epi32(quad(a_r, g));
+                    for (acc_rt, &w_t) in acc_r.iter_mut().zip(&w) {
+                        *acc_rt = _mm512_dpbusd_epi32(*acc_rt, q, w_t);
+                    }
                 }
-                _mm512_storeu_si512(
-                    op.add(j).cast(),
-                    _mm512_add_epi32(seed_avx512(op.add(j), fold), acc),
-                );
-                j += 16;
             }
-            while j < n {
-                let slot = op.add(j);
-                let mut acc = seed_scalar(slot, fold);
-                for g in g0..g1 {
-                    acc += super::dot4(a, g, b, (g * n + j) * 4);
+            for (row, acc_r) in acc.iter().enumerate() {
+                for (t, &acc_rt) in acc_r.iter().enumerate() {
+                    let slot = op.add(row * n + j + 16 * t);
+                    _mm512_storeu_si512(
+                        slot.cast(),
+                        _mm512_add_epi32(seed_avx512(slot, fold), acc_rt),
+                    );
                 }
-                *slot = acc;
-                j += 1;
             }
         }
     }
@@ -838,8 +808,10 @@ mod tests {
 
     #[test]
     fn all_backends_match_the_reference_bit_exactly() {
-        // Shapes hit the 4-row panel, the 1-row remainder, and the 8- and
-        // 16-column vector remainders of both SIMD arms.
+        // Shapes hit the 4-row panel, the 3-, 2- and 1-row remainder panels,
+        // the wide column tiles (64 columns, 128 for a lone row), and the 8-
+        // and 16-column vector remainders and scalar column tail of both SIMD
+        // arms.
         for (rows, k, n) in [
             (1usize, 1usize, 1usize),
             (3, 5, 7),
@@ -848,6 +820,8 @@ mod tests {
             (5, 64, 23),
             (2, 12, 100),
             (9, 31, 33),
+            (7, 29, 150),
+            (1, 9, 130),
         ] {
             let k_pad = padded_k(k);
             let a = activations(rows, k_pad, k, 7);
@@ -866,45 +840,86 @@ mod tests {
     fn overwrite_semantics_and_saturation_extremes() {
         // A dirty (non-zero) out must be fully overwritten, with the extreme
         // u7 x i8 operands that would saturate maddubs if activations were
-        // full u8.
-        let (rows, k, n) = (4usize, 8usize, 9usize);
-        let k_pad = padded_k(k);
-        let a = vec![127u8; rows * k_pad];
-        let wq = vec![-127i8; k * n];
-        let packed = pack_weights_k4(&wq, k, n);
-        let want = -127 * 127 * k as i32;
-        for backend in backends() {
-            let mut out = vec![5i32; rows * n];
-            gemm_u8i8_i32(backend, &a, &packed, &mut out, rows, k_pad, n);
-            assert!(out.iter().all(|&v| v == want), "{backend:?}");
+        // full u8. Rows 1..=7 put every row panel (4-row and each remainder)
+        // on a dirty out; 145 columns reach the wide, 16-column and scalar
+        // column tiles; k = 40 spans several k-group blocks, so later blocks
+        // fold onto what the first one overwrote.
+        for (k, n) in [(8usize, 9usize), (40, 145)] {
+            let k_pad = padded_k(k);
+            let packed = pack_weights_k4(&vec![-127i8; k * n], k, n);
+            let want = -127 * 127 * k as i32;
+            for rows in 1..=7usize {
+                let a = vec![127u8; rows * k_pad];
+                for backend in backends() {
+                    let mut out = vec![5i32; rows * n];
+                    gemm_u8i8_i32(backend, &a, &packed, &mut out, rows, k_pad, n);
+                    assert!(
+                        out.iter().all(|&v| v == want),
+                        "{backend:?} rows={rows} k={k} n={n}"
+                    );
+                }
+            }
         }
     }
 
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn blocking_and_panel_shape_do_not_change_results() {
+        // Calls the SIMD arms directly with explicit blocking, so every
+        // (group block, panel) pair runs without touching the process-global
+        // kernel override or the autotuned parameters. Rows 1..=13 reach
+        // every row-panel mix; the widths reach the 64- and 128-column tiles,
+        // the 16- (and 8-) column remainders and the scalar column tail.
         if !avx2_available() {
             return;
         }
-        let (rows, k, n) = (7usize, 45usize, 29usize);
+        let k = 45usize;
         let k_pad = padded_k(k);
-        let a = activations(rows, k_pad, k, 13);
-        let packed = pack_weights_k4(&weights(k, n, 5), k, n);
-        let mut want = vec![0i32; rows * n];
-        gemm_u8i8_i32(Int8Kernel::Scalar, &a, &packed, &mut want, rows, k_pad, n);
-        for group_block in [1usize, 2, 3, 8, 64] {
-            for panel4 in [false, true] {
-                let mut out = vec![0i32; rows * n];
-                unsafe {
-                    x86::gemm_avx2(&a, &packed, &mut out, rows, k_pad, n, group_block, panel4)
-                };
-                assert_eq!(out, want, "avx2 block={group_block} panel4={panel4}");
-                if avx512_vnni_available() {
-                    let mut out = vec![0i32; rows * n];
-                    unsafe {
-                        x86::gemm_vnni(&a, &packed, &mut out, rows, k_pad, n, group_block, panel4)
-                    };
-                    assert_eq!(out, want, "vnni block={group_block} panel4={panel4}");
+        for n in [17usize, 64, 100, 129, 200] {
+            let packed = pack_weights_k4(&weights(k, n, 5), k, n);
+            for rows in 1..=13usize {
+                let a = activations(rows, k_pad, k, 13);
+                let mut want = vec![0i32; rows * n];
+                gemm_u8i8_i32(Int8Kernel::Scalar, &a, &packed, &mut want, rows, k_pad, n);
+                for group_block in [1usize, 2, 3, 8, 64, usize::MAX / 4] {
+                    for panel4 in [false, true] {
+                        let label =
+                            format!("rows={rows} n={n} block={group_block} panel4={panel4}");
+                        let mut out = vec![-1i32; rows * n];
+                        // SAFETY: AVX2 was detected above; the buffers are
+                        // rows x k_pad, k_pad x n and rows x n.
+                        unsafe {
+                            x86::gemm_avx2(
+                                &a,
+                                &packed,
+                                &mut out,
+                                rows,
+                                k_pad,
+                                n,
+                                group_block,
+                                panel4,
+                            )
+                        };
+                        assert_eq!(out, want, "avx2 {label}");
+                        if avx512_vnni_available() {
+                            let mut out = vec![-1i32; rows * n];
+                            // SAFETY: AVX-512 VNNI was detected; same shapes
+                            // as the AVX2 call.
+                            unsafe {
+                                x86::gemm_vnni(
+                                    &a,
+                                    &packed,
+                                    &mut out,
+                                    rows,
+                                    k_pad,
+                                    n,
+                                    group_block,
+                                    panel4,
+                                )
+                            };
+                            assert_eq!(out, want, "vnni {label}");
+                        }
+                    }
                 }
             }
         }

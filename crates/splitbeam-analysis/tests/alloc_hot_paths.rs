@@ -64,11 +64,17 @@ fn barrier_server(model: &SplitBeamModel, weights: TailWeights, stations: u64) -
     server
 }
 
+/// Stations on the barrier path: seven reports make one round's batch a
+/// 4-row GEMM panel plus a 3-row remainder panel.
+const BARRIER_STATIONS: u64 = 7;
+
 /// Barrier serving: after warm-up rounds have sized the decode buffer, the
 /// round arena, and the tail scratch, a full ingest + round close must not
 /// touch the heap.
 fn barrier_path(model: &SplitBeamModel, weights: TailWeights, label_prefix: &str) {
-    let frames: Vec<Vec<u8>> = (0..2).map(|s| wire_frame(model, 100 + s)).collect();
+    let frames: Vec<Vec<u8>> = (0..BARRIER_STATIONS)
+        .map(|s| wire_frame(model, 100 + s))
+        .collect();
     let mut server = barrier_server(model, weights, frames.len() as u64);
     for _ in 0..WARM_ROUNDS {
         for (id, frame) in frames.iter().enumerate() {
