@@ -198,6 +198,7 @@ pub fn kernel_dispatch_value() -> JsonValue {
     object(vec![
         ("requested", report.requested.into()),
         ("selected", report.selected.into()),
+        ("selected_f32_gemm", report.selected_f32_gemm.into()),
         ("selected_int8", report.selected_int8.into()),
         ("avx2_fma_available", report.avx2_fma_available.into()),
         ("avx512f_available", report.avx512f_available.into()),
@@ -255,6 +256,7 @@ mod tests {
                     vec![
                         "requested",
                         "selected",
+                        "selected_f32_gemm",
                         "selected_int8",
                         "avx2_fma_available",
                         "avx512f_available",

@@ -15,6 +15,9 @@
 //!   accumulation order is still ascending `k` with a single accumulator
 //!   chain, which keeps *different call shapes* of the same kernel (one row at
 //!   a time vs a whole batch, fused vs unfused) bit-identical to each other.
+//!   On hosts that also report `avx512f`, the f32 GEMM of this tier runs a
+//!   register-blocked AVX-512F body (4 x 64 tiles, masked column tails) that
+//!   is bit-identical to the AVX2 body; there is no knob for it.
 //!
 //! # Selection
 //!
@@ -185,6 +188,10 @@ pub struct DispatchReport {
     pub requested: &'static str,
     /// The f32/complex backend actually in use.
     pub selected: &'static str,
+    /// The f32 GEMM body the selected backend runs: `avx512f` (the
+    /// register-blocked AVX-512F tiles), `avx2_fma` (the 8-wide AVX2
+    /// panels) or `scalar`.
+    pub selected_f32_gemm: &'static str,
     /// The integer (quantized-weight) backend actually in use.
     pub selected_int8: &'static str,
     /// Whether the host CPU supports AVX2+FMA at all.
@@ -205,6 +212,7 @@ pub fn dispatch_report() -> DispatchReport {
             KernelChoice::Scalar => "scalar",
         },
         selected: selected().name(),
+        selected_f32_gemm: f32_gemm_body(selected()),
         selected_int8: int8::selected_int8().name(),
         avx2_fma_available: avx2_fma_available(),
         avx512f_available: int8::avx512f_available(),
@@ -293,18 +301,18 @@ pub fn cdotc(kernel: Kernel, x: &[Complex64], y: &[Complex64]) -> Complex64 {
 ///
 /// The scalar arm accumulates each output element over ascending `k` with
 /// individually rounded adds and skips exact-zero `a` terms — per element
-/// identical to the historical register-blocked panel kernels. The AVX2 arm
+/// identical to the historical register-blocked panel kernels. The FMA arm
 /// uses one FMA chain per output element (also ascending `k`), so any call
 /// shape — whole batch, single row, fused variants — produces bit-identical
-/// elements for identical inputs.
+/// elements for identical inputs. It runs the register-blocked AVX-512F body
+/// when the host reports `avx512f` and the 8-wide AVX2 body otherwise; the
+/// two are bit-identical ([`DispatchReport::selected_f32_gemm`] names the
+/// body in use).
 ///
 /// # Panics
 /// Panics if the slice lengths disagree with the dimensions.
 pub fn gemm_f32(kernel: Kernel, a: &[f32], b: &[f32], out: &mut [f32], m: usize, n: usize) {
-    assert_eq!(b.len(), m * n, "gemm_f32 rhs length mismatch");
-    assert_eq!(a.len() % m.max(1), 0, "gemm_f32 lhs length mismatch");
-    let rows = a.len().checked_div(m).unwrap_or(0);
-    assert_eq!(out.len(), rows * n, "gemm_f32 out length mismatch");
+    check_gemm_f32_shape(a, b, out, m, n);
     match kernel {
         Kernel::Scalar => {
             for (a_row, out_row) in a.chunks_exact(m).zip(out.chunks_exact_mut(n)) {
@@ -319,13 +327,128 @@ pub fn gemm_f32(kernel: Kernel, a: &[f32], b: &[f32], out: &mut [f32], m: usize,
             }
         }
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: the guard proves AVX2+FMA are present; `rows`/`m`/`n`
-        // describe `a`/`b`/`out` exactly per the asserts above.
+        // SAFETY: the guard proves AVX2+FMA are present; `m`/`n` describe
+        // `a`/`b`/`out` exactly per the shape check above.
         Kernel::Avx2Fma if avx2_fma_available() => unsafe {
-            gemm_f32_avx2(a, b, out, rows, m, n, tune::params().f32_k_block)
+            gemm_f32_fma(a, b, out, m, n, tune::params().f32_k_block, false, |_| {})
         },
         #[allow(unreachable_patterns)]
         _ => gemm_f32(Kernel::Scalar, a, b, out, m, n),
+    }
+}
+
+/// Dense f32 GEMM with an epilogue: `out = a * b` (overwriting whatever
+/// `out` held), then `epilogue` on each finished block of whole output rows.
+///
+/// The FMA arm walks rows in L2-sized row blocks (256 KiB of output) with the
+/// k-blocks inside each block, seeds the first k-block's accumulators with
+/// zero instead of reading `out`, and hands each block to `epilogue` while
+/// it is still cache-hot — one pass over the output instead of a memset, a
+/// GEMM that re-streams it per k-block, and a separate epilogue sweep.
+/// Every element is the same FMA chain [`gemm_f32`] computes into a zeroed
+/// `out` (a `+0.0` register seed equals a loaded `+0.0`), so the product is
+/// bit-identical to zero-fill + [`gemm_f32`] + `epilogue(out)` under every
+/// kernel; the scalar arm runs exactly that.
+///
+/// # Panics
+/// Panics if the slice lengths disagree with the dimensions.
+pub fn gemm_f32_then(
+    kernel: Kernel,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    n: usize,
+    mut epilogue: impl FnMut(&mut [f32]),
+) {
+    check_gemm_f32_shape(a, b, out, m, n);
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the guard proves AVX2+FMA are present; `m`/`n` describe
+        // `a`/`b`/`out` exactly per the shape check above.
+        Kernel::Avx2Fma if avx2_fma_available() => unsafe {
+            gemm_f32_fma(a, b, out, m, n, tune::params().f32_k_block, true, epilogue)
+        },
+        _ => {
+            out.fill(0.0);
+            gemm_f32(Kernel::Scalar, a, b, out, m, n);
+            epilogue(out);
+        }
+    }
+}
+
+/// The shape contract shared by the f32 GEMM entry points.
+fn check_gemm_f32_shape(a: &[f32], b: &[f32], out: &[f32], m: usize, n: usize) {
+    assert_eq!(b.len(), m * n, "gemm_f32 rhs length mismatch");
+    assert_eq!(a.len() % m.max(1), 0, "gemm_f32 lhs length mismatch");
+    let rows = a.len().checked_div(m).unwrap_or(0);
+    assert_eq!(out.len(), rows * n, "gemm_f32 out length mismatch");
+}
+
+/// The f32 GEMM body the FMA tier runs on this host: `"avx512f"` (the
+/// register-blocked AVX-512F tiles), `"avx2_fma"` (the 8-wide AVX2 panels)
+/// or `"scalar"` when `kernel` is the scalar backend or the host has no FMA.
+fn f32_gemm_body(kernel: Kernel) -> &'static str {
+    match kernel {
+        Kernel::Avx2Fma if avx2_fma_available() && int8::avx512f_available() => "avx512f",
+        Kernel::Avx2Fma if avx2_fma_available() => "avx2_fma",
+        _ => "scalar",
+    }
+}
+
+/// Output bytes per row block of the FMA-tier GEMM: a block's output plus
+/// the weight k-block streamed over it stay L2-resident while every
+/// k-block passes over the block, and a fused epilogue then reads it hot.
+const ROW_BLOCK_BYTES: usize = 256 * 1024;
+
+/// Rows per row block for an `n`-wide f32 output: a multiple of four (so
+/// only the last block can end in a 1–3 row leftover panel), at least four.
+fn row_block(n: usize) -> usize {
+    (ROW_BLOCK_BYTES / (4 * n.max(1))).max(4) / 4 * 4
+}
+
+/// The FMA tier: row block by row block, the AVX-512F body when the host
+/// has it, else the AVX2 body; `epilogue` runs on each finished block.
+/// `overwrite` seeds the first k-block with zero (`out = a * b`); otherwise
+/// the accumulators start from `out` (`out += a * b`).
+///
+/// # Safety
+/// Caller must ensure AVX2+FMA support and that `a` is `rows x m`, `b` is
+/// `m x n` and `out` is `rows x n` (the public entry points assert it).
+// The shape, the blocking and the seed rule are all distinct inputs of the
+// body; a struct would only rename them.
+#[allow(clippy::too_many_arguments)]
+#[cfg(target_arch = "x86_64")]
+unsafe fn gemm_f32_fma(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    n: usize,
+    k_block: usize,
+    overwrite: bool,
+    mut epilogue: impl FnMut(&mut [f32]),
+) {
+    if out.is_empty() {
+        return;
+    }
+    let wide = int8::avx512f_available();
+    let rows = row_block(n);
+    for (a_blk, o_blk) in a.chunks(rows * m).zip(out.chunks_mut(rows * n)) {
+        let rows = o_blk.len() / n;
+        // SAFETY: the caller guarantees AVX2+FMA, `wide` proves AVX-512F for
+        // the wide body, and the chunks cut `a`/`out` at the same row.
+        unsafe {
+            if wide {
+                avx512::gemm_f32_avx512(a_blk, b, o_blk, rows, m, n, k_block, overwrite);
+            } else {
+                if overwrite {
+                    o_blk.fill(0.0);
+                }
+                gemm_f32_avx2(a_blk, b, o_blk, rows, m, n, k_block);
+            }
+        }
+        epilogue(o_blk);
     }
 }
 
@@ -768,6 +891,195 @@ mod avx2 {
 #[cfg(target_arch = "x86_64")]
 use avx2::{caxpy_avx2, caxpy_sub_avx2, cdotc_avx2, gemm_f32_avx2, saxpy_avx2, sdot_avx2};
 
+// ---------------------------------------------------------------------------
+// AVX-512F f32 GEMM body (the FMA tier's body on hosts that report avx512f).
+// ---------------------------------------------------------------------------
+
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use core::arch::x86_64::{
+        __m512, __mmask16, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_mask_storeu_ps,
+        _mm512_maskz_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
+    };
+
+    /// All 16 lanes of a zmm tile column.
+    const FULL: __mmask16 = 0xFFFF;
+
+    /// Dense f32 GEMM `out += a * b` (or `out = a * b` with `overwrite`) —
+    /// the register-blocked AVX-512F body of the FMA tier.
+    ///
+    /// The outer loop walks `k_block`-deep k-blocks (one k-block when the
+    /// batch fits a single panel: no other panel would reuse the streamed
+    /// `b` rows), the middle loop walks row panels — 4 x 64 tiles, and the
+    /// `rows % 4` leftover rows in one 3 x 64, 2 x 64 or 1 x 128 panel —
+    /// and [`tile`] holds each panel tile in up to 16 zmm accumulators.
+    ///
+    /// Every output element is one FMA chain over ascending `k`, exactly as
+    /// in the AVX2 body: accumulators start from the loaded `out` (or from
+    /// `+0.0` on the first k-block under `overwrite`, which equals loading a
+    /// zeroed `out`) and round-trip memory losslessly between k-blocks, so
+    /// the two bodies agree bit-for-bit for any blocking.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX-512F support and that `a` is `rows x m`, `b`
+    /// is `m x n` and `out` is `rows x n`.
+    // Same GEMM signature rationale as `gemm_f32_fma`.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn gemm_f32_avx512(
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        rows: usize,
+        m: usize,
+        n: usize,
+        k_block: usize,
+        overwrite: bool,
+    ) {
+        // SAFETY: the caller upholds this fn's `# Safety` contract: the required target features are enabled and every pointer/shape argument describes the buffers exactly.
+        unsafe {
+            let block = k_block.max(1);
+            let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+            for k0 in (0..m).step_by(block) {
+                let k1 = (k0 + block).min(m);
+                let load = !overwrite || k0 != 0;
+                let mut r = 0;
+                while r < rows {
+                    let take = (rows - r).min(4);
+                    let (a_r, o_r) = (ap.add(r * m), op.add(r * n));
+                    match take {
+                        4 => panel::<4, 4>(a_r, bp, o_r, m, n, k0, k1, load),
+                        3 => panel::<3, 4>(a_r, bp, o_r, m, n, k0, k1, load),
+                        2 => panel::<2, 4>(a_r, bp, o_r, m, n, k0, k1, load),
+                        _ => panel::<1, 8>(a_r, bp, o_r, m, n, k0, k1, load),
+                    }
+                    r += take;
+                }
+            }
+        }
+    }
+
+    /// `R` output rows over `k0..k1`: `16 * T`-column tiles, then 64-column
+    /// tiles, then the narrow remainder as one tile of `ceil(rest / 16)` zmm
+    /// columns whose last column is masked to the leftover lanes — never a
+    /// scalar loop.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX-512F support, `a` pointing at `R` rows of
+    /// stride `m`, `b` at `m x n` weights, `o` at `R` rows of stride `n`,
+    /// and `k1 <= m`.
+    // Same GEMM signature rationale as `gemm_f32_fma`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn panel<const R: usize, const T: usize>(
+        a: *const f32,
+        b: *const f32,
+        o: *mut f32,
+        m: usize,
+        n: usize,
+        k0: usize,
+        k1: usize,
+        load: bool,
+    ) {
+        // SAFETY: the caller upholds this fn's `# Safety` contract: the required target features are enabled and every pointer/shape argument describes the buffers exactly.
+        unsafe {
+            let ap: [*const f32; R] = core::array::from_fn(|r| a.add(r * m));
+            let mut j = 0;
+            while j + 16 * T <= n {
+                tile::<R, T>(ap, b, o, n, j, k0, k1, load, FULL);
+                j += 16 * T;
+            }
+            while n - j > 64 {
+                tile::<R, 4>(ap, b, o, n, j, k0, k1, load, FULL);
+                j += 64;
+            }
+            let rest = n - j;
+            if rest == 0 {
+                return;
+            }
+            let last = FULL >> ((16 - rest % 16) % 16);
+            match rest.div_ceil(16) {
+                1 => tile::<R, 1>(ap, b, o, n, j, k0, k1, load, last),
+                2 => tile::<R, 2>(ap, b, o, n, j, k0, k1, load, last),
+                3 => tile::<R, 3>(ap, b, o, n, j, k0, k1, load, last),
+                _ => tile::<R, 4>(ap, b, o, n, j, k0, k1, load, last),
+            }
+        }
+    }
+
+    /// One `R x 16T` tile at column `j` over `k0..k1`, held in `R * T` zmm
+    /// accumulators: per `k`, `T` weight loads feed `R` broadcasts, so every
+    /// load serves `R` independent FMA chains. The last of the `T` columns
+    /// loads and stores only the lanes in `last` (masked-off lanes are never
+    /// read or written).
+    ///
+    /// # Safety
+    /// Caller must ensure AVX-512F support, `ap` pointing at `R` rows
+    /// readable through `k1 - 1`, `b` at weights of width `n` readable
+    /// through row `k1 - 1`, `o` at `R` output rows of stride `n`, and
+    /// `j + 16 * (T - 1) + popcount(last) <= n`.
+    // Every argument is a pointer, a dimension, a blocking bound or the seed
+    // rule the tile needs; a struct would only rename them.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn tile<const R: usize, const T: usize>(
+        ap: [*const f32; R],
+        b: *const f32,
+        o: *mut f32,
+        n: usize,
+        j: usize,
+        k0: usize,
+        k1: usize,
+        load: bool,
+        last: __mmask16,
+    ) {
+        // SAFETY: the caller upholds this fn's `# Safety` contract: the required target features are enabled and every pointer/shape argument describes the buffers exactly.
+        unsafe {
+            let mut acc = [[_mm512_setzero_ps(); T]; R];
+            if load {
+                for (row, acc_r) in acc.iter_mut().enumerate() {
+                    let slot = o.add(row * n + j);
+                    for (t, acc_rt) in acc_r.iter_mut().enumerate() {
+                        *acc_rt = if t + 1 == T {
+                            _mm512_maskz_loadu_ps(last, slot.add(16 * t))
+                        } else {
+                            _mm512_loadu_ps(slot.add(16 * t))
+                        };
+                    }
+                }
+            }
+            for k in k0..k1 {
+                let row = b.add(k * n + j);
+                let w: [__m512; T] = core::array::from_fn(|t| {
+                    if t + 1 == T {
+                        _mm512_maskz_loadu_ps(last, row.add(16 * t))
+                    } else {
+                        _mm512_loadu_ps(row.add(16 * t))
+                    }
+                });
+                for (acc_r, &a_r) in acc.iter_mut().zip(&ap) {
+                    let av = _mm512_set1_ps(*a_r.add(k));
+                    for (acc_rt, &w_t) in acc_r.iter_mut().zip(&w) {
+                        *acc_rt = _mm512_fmadd_ps(av, w_t, *acc_rt);
+                    }
+                }
+            }
+            for (row, acc_r) in acc.iter().enumerate() {
+                let slot = o.add(row * n + j);
+                for (t, &acc_rt) in acc_r.iter().enumerate() {
+                    if t + 1 == T {
+                        _mm512_mask_storeu_ps(slot.add(16 * t), last, acc_rt);
+                    } else {
+                        _mm512_storeu_ps(slot.add(16 * t), acc_rt);
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -787,6 +1099,10 @@ mod tests {
         (0..n)
             .map(|i| ((i as f32) * 0.173 + seed).sin() * 0.5)
             .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     /// Both kernels, but AVX2 only on hosts that have it.
@@ -823,6 +1139,14 @@ mod tests {
         let report = dispatch_report();
         assert!(["auto", "scalar"].contains(&report.requested));
         assert!(["scalar", "avx2_fma"].contains(&report.selected));
+        assert!(["scalar", "avx2_fma", "avx512f"].contains(&report.selected_f32_gemm));
+        assert_eq!(
+            report.selected == "scalar",
+            report.selected_f32_gemm == "scalar"
+        );
+        if report.selected_f32_gemm == "avx512f" {
+            assert!(report.avx512f_available);
+        }
         assert!(["scalar", "avx2_maddubs", "avx512_vnni"].contains(&report.selected_int8));
         if !report.avx2_fma_available {
             assert_eq!(report.selected, "scalar");
@@ -860,6 +1184,98 @@ mod tests {
                 assert_eq!(bits, want_bits, "k_block={k_block}");
             }
         }
+    }
+
+    #[test]
+    fn avx512_and_avx2_f32_bodies_agree_bitwise_into_dirty_out() {
+        // The AVX-512F body must reproduce the AVX2 reference bit-for-bit
+        // for every panel shape (4-row panels plus 3/2/1-row leftovers),
+        // every column remainder (full 64/128-column tiles, 64-column tiles,
+        // masked tails of 1..=16 lanes) and every k-blocking. Both bodies
+        // are called directly — no kernel-override flip — into the same
+        // dirty `out`, which they accumulate onto; the overwrite seed must
+        // equal the AVX2 body run into a zeroed `out`.
+        #[cfg(target_arch = "x86_64")]
+        if avx2_fma_available() && int8::avx512f_available() {
+            const NS: [usize; 14] = [1, 7, 8, 9, 15, 16, 17, 56, 63, 64, 65, 129, 224, 545];
+            for m in [1usize, 17, 56, 448] {
+                for &n in &NS {
+                    let b = f32_series(m * n, 0.31 + n as f32);
+                    for rows in 1usize..=13 {
+                        let a = f32_series(rows * m, 1.7 + rows as f32);
+                        let dirty = f32_series(rows * n, -2.9);
+                        for k_block in [1usize, 8, 16, 32, 64, m] {
+                            let mut want = dirty.clone();
+                            let mut got = dirty.clone();
+                            unsafe {
+                                avx2::gemm_f32_avx2(&a, &b, &mut want, rows, m, n, k_block);
+                                avx512::gemm_f32_avx512(
+                                    &a, &b, &mut got, rows, m, n, k_block, false,
+                                );
+                            }
+                            let shape = format!("rows={rows} m={m} n={n} k_block={k_block}");
+                            assert_eq!(bits(&got), bits(&want), "accumulate {shape}");
+
+                            let mut want = vec![0.0f32; rows * n];
+                            let mut got = dirty.clone();
+                            unsafe {
+                                avx2::gemm_f32_avx2(&a, &b, &mut want, rows, m, n, k_block);
+                                avx512::gemm_f32_avx512(
+                                    &a, &b, &mut got, rows, m, n, k_block, true,
+                                );
+                            }
+                            assert_eq!(bits(&got), bits(&want), "overwrite {shape}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_pass_epilogue_matches_gemm_then_sweep_across_row_blocks() {
+        // `gemm_f32_then` overwrites a dirty `out` and runs the epilogue per
+        // row block; it must equal zero-fill + `gemm_f32` + one sweep, bit
+        // for bit, and hand every row to the epilogue exactly once. Row
+        // counts span one block, several blocks, and a 1–3 row leftover
+        // panel in the last block.
+        let (m, n) = (23usize, 1452usize);
+        let b = f32_series(m * n, 0.45);
+        let bias = f32_series(n, 3.3);
+        let sweep = |block: &mut [f32]| {
+            for row in block.chunks_exact_mut(n) {
+                for (o, &bv) in row.iter_mut().zip(&bias) {
+                    *o = (*o + bv).tanh();
+                }
+            }
+        };
+        let block_rows = row_block(n);
+        for rows in [1usize, 3, 4, block_rows, block_rows + 1, 3 * block_rows + 3] {
+            let a = f32_series(rows * m, 0.8);
+            for k in kernels() {
+                let mut want = vec![0.0f32; rows * n];
+                gemm_f32(k, &a, &b, &mut want, m, n);
+                sweep(&mut want);
+                let mut got = f32_series(rows * n, 7.0);
+                let mut seen = 0usize;
+                gemm_f32_then(k, &a, &b, &mut got, m, n, |block| {
+                    assert_eq!(block.len() % n, 0, "whole rows per block");
+                    seen += block.len() / n;
+                    sweep(block);
+                });
+                assert_eq!(seen, rows, "{k:?} rows={rows}: every row exactly once");
+                assert_eq!(bits(&got), bits(&want), "{k:?} rows={rows}");
+            }
+        }
+    }
+
+    #[test]
+    fn row_blocks_are_whole_panels() {
+        for n in [1usize, 56, 224, 545, 1452, 100_000] {
+            let rows = row_block(n);
+            assert!(rows >= 4 && rows.is_multiple_of(4), "n={n}: {rows}");
+        }
+        assert_eq!(row_block(224), 292);
     }
 
     #[test]

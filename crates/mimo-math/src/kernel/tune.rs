@@ -13,7 +13,7 @@
 //! other value (or unset) probes.
 //!
 //! Autotuning can never change *results*, only speed: the int8 arms
-//! accumulate exact `i32` sums (associative), and the f32 AVX2 arm keeps one
+//! accumulate exact `i32` sums (associative), and the f32 FMA arm keeps one
 //! FMA chain per output element whose accumulator round-trips memory
 //! losslessly between blocks, so every candidate produces bit-identical
 //! output. The kernel test suite pins both properties.
@@ -23,7 +23,8 @@ use std::sync::OnceLock;
 /// Blocking parameters shared by the dispatched GEMM arms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TuneParams {
-    /// Inner-dimension rows per block of the f32 AVX2 GEMM.
+    /// Inner-dimension rows per block of the f32 FMA-tier GEMM (AVX-512F or
+    /// AVX2 body, whichever the host runs).
     pub f32_k_block: usize,
     /// 4-deep k-groups per block of the int8 arms (a block spans
     /// `4 * int8_group_block` inner-dimension rows).
@@ -120,8 +121,9 @@ fn probe() -> TuneParams {
                 let t = Instant::now();
                 // SAFETY: this probe only runs after `avx2_fma_available()`
                 // (checked by the caller); the buffers were sized ROWS*K,
-                // K*N and ROWS*N above.
-                unsafe { super::avx2::gemm_f32_avx2(&a, &b, &mut out, ROWS, K, N, k_block) };
+                // K*N and ROWS*N above. The FMA tier picks the body the
+                // dispatched GEMM runs on this host (AVX-512F or AVX2).
+                unsafe { super::gemm_f32_fma(&a, &b, &mut out, K, N, k_block, false, |_| {}) };
                 let ns = t.elapsed().as_nanos();
                 if rep > 0 {
                     *slot = (*slot).min(ns);

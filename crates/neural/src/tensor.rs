@@ -401,6 +401,15 @@ impl Matrix {
 
     /// [`Matrix::matmul_bias_act_into`] with an explicit kernel backend.
     ///
+    /// Under the SIMD backend the output is written in one pass
+    /// ([`kernel::gemm_f32_then`]): rows go in L2-sized blocks, the first
+    /// k-block seeds its accumulators with zero instead of a pre-zeroed
+    /// `out`, and the bias + activation epilogue runs on each block while it
+    /// is still cache-hot. Per element that is the same FMA chain and the
+    /// same epilogue as [`Matrix::matmul_into_with`] followed by a separate
+    /// sweep, so the two agree bit-for-bit; the scalar backend runs exactly
+    /// that two-step chain.
+    ///
     /// # Panics
     /// Panics if the inner dimensions disagree or `bias` is not a `1 x w.cols()`
     /// row vector.
@@ -414,12 +423,33 @@ impl Matrix {
     ) {
         assert_eq!(bias.rows, 1, "bias must be a row vector");
         assert_eq!(bias.cols, w.cols, "bias width mismatch");
-        self.matmul_into_with(w, out, kern);
-        for row in out.data.chunks_exact_mut(w.cols) {
-            for (o, &b) in row.iter_mut().zip(bias.data.iter()) {
-                *o = activation.eval(*o + b);
+        let epilogue = |block: &mut [f32]| {
+            for row in block.chunks_exact_mut(w.cols) {
+                for (o, &b) in row.iter_mut().zip(bias.data.iter()) {
+                    *o = activation.eval(*o + b);
+                }
             }
+        };
+        if kern == Kernel::Scalar {
+            self.matmul_into_with(w, out, kern);
+            epilogue(&mut out.data);
+            return;
         }
+        assert_eq!(
+            self.cols, w.rows,
+            "matmul dimension mismatch: {}x{} * {}x{}",
+            self.rows, self.cols, w.rows, w.cols
+        );
+        out.reshape_for_overwrite(self.rows, w.cols);
+        kernel::gemm_f32_then(
+            kern,
+            &self.data,
+            &w.data,
+            &mut out.data,
+            self.cols,
+            w.cols,
+            epilogue,
+        );
     }
 
     /// Transpose-free product `self^T * rhs` written into `out`, using the
@@ -808,6 +838,49 @@ mod tests {
             a.matmul_a_bt_into_with(&bt, &mut simd, Kernel::Avx2Fma);
             for (s, v) in scalar.as_slice().iter().zip(simd.as_slice()) {
                 assert!((s - v).abs() <= tol, "a_bt drift {m}x{k}x{n}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_pass_fused_layer_matches_matmul_then_epilogue_bitwise() {
+        // The SIMD backend writes the fused layer in one pass (row blocks,
+        // zero-seeded first k-block, epilogue per hot block). It must equal
+        // matmul followed by a separate bias + activation sweep, bit for
+        // bit, also into a dirty, differently shaped `out`. The 1452-wide
+        // output puts 44 rows in a row block, so 133 rows span three blocks
+        // plus a leftover panel.
+        let mut rng = ChaCha8Rng::seed_from_u64(91);
+        for (rows, k, n) in [
+            (1, 17, 1452),
+            (3, 17, 1452),
+            (133, 17, 1452),
+            (610, 56, 224),
+        ] {
+            let a = Matrix::xavier_uniform(rows, k, &mut rng);
+            let w = Matrix::xavier_uniform(k, n, &mut rng);
+            let bias = Matrix::xavier_uniform(1, n, &mut rng);
+            for activation in [Activation::Identity, Activation::Tanh] {
+                for kern in [Kernel::Scalar, Kernel::Avx2Fma] {
+                    let mut want = Matrix::zeros(1, 1);
+                    a.matmul_into_with(&w, &mut want, kern);
+                    for row in want.data.chunks_exact_mut(n) {
+                        for (o, &b) in row.iter_mut().zip(bias.as_slice()) {
+                            *o = activation.eval(*o + b);
+                        }
+                    }
+                    let mut got = Matrix::xavier_uniform(rows + 2, n + 3, &mut rng);
+                    a.matmul_bias_act_into_with(&w, &bias, activation, &mut got, kern);
+                    assert_eq!((got.rows(), got.cols()), (rows, n));
+                    let bits = |m: &Matrix| -> Vec<u32> {
+                        m.as_slice().iter().map(|v| v.to_bits()).collect()
+                    };
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{rows}x{k}x{n} {activation:?} {kern:?}"
+                    );
+                }
             }
         }
     }

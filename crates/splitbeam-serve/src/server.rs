@@ -133,8 +133,9 @@ pub(crate) struct RoundArena {
     /// ingest it is swapped with the station's payload slot, so the two
     /// buffers circulate without reallocating.
     decode_buf: QuantizedFeedback,
-    /// Station ids of the batch currently being reconstructed.
-    ids: Vec<StationId>,
+    /// Session-slab slots of the batch currently being reconstructed, in
+    /// station-id order.
+    slots: Vec<u32>,
     /// Buffers of the fused batched tail reconstruction.
     tail: TailScratch,
 }
@@ -148,7 +149,7 @@ impl Default for RoundArena {
                 max: 0.0,
                 codes: Vec::new(),
             },
-            ids: Vec::new(),
+            slots: Vec::new(),
             tail: TailScratch::new(),
         }
     }
@@ -691,29 +692,32 @@ impl ShardCore {
         let Self {
             sessions, arena, ..
         } = self;
-        let RoundArena { ids, tail, .. } = arena;
+        let RoundArena { slots, tail, .. } = arena;
         for (key, model) in engine.models.iter().enumerate() {
-            ids.clear();
-            ids.extend(
+            // Slots, not ids: every served row reaches its session again
+            // (payload, store, LRU touch) without an id-index lookup. Batch
+            // and row order stay the id-ordered walk's.
+            slots.clear();
+            slots.extend(
                 sessions
-                    .values()
-                    .filter(|s| s.has_pending() && s.model_key() == key)
-                    .map(StationSession::id),
+                    .values_with_slot()
+                    .filter(|(_, s)| s.has_pending() && s.model_key() == key)
+                    .map(|(slot, _)| slot),
             );
-            if ids.is_empty() {
+            if slots.is_empty() {
                 continue;
             }
             batches += 1;
             let result = match engine.mode {
                 TailWeights::F32 => model.reconstruct_quantized_batch_iter_into(
-                    ids.iter().map(|id| sessions[id].payload()),
-                    ids.len(),
+                    slots.iter().map(|&slot| sessions.at(slot).payload()),
+                    slots.len(),
                     tail,
                     engine.kern,
                 ),
                 TailWeights::Int8 => engine.tails[key].reconstruct_quantized_batch_iter_into(
-                    ids.iter().map(|id| sessions[id].payload()),
-                    ids.len(),
+                    slots.iter().map(|&slot| sessions.at(slot).payload()),
+                    slots.len(),
                     tail,
                     engine.ik,
                 ),
@@ -721,10 +725,8 @@ impl ShardCore {
             match result {
                 Ok(flats) => {
                     let width = flats.cols();
-                    for (id, flat) in ids.iter().zip(flats.as_slice().chunks_exact(width)) {
-                        let session = sessions
-                            .get_mut(*id)
-                            .expect("pending payload from registered station");
+                    for (&slot, flat) in slots.iter().zip(flats.as_slice().chunks_exact(width)) {
+                        let session = sessions.at_mut(slot);
                         session.store_feedback(flat, round);
                         session.set_pending(false);
                         Self::account_served(
@@ -737,16 +739,14 @@ impl ShardCore {
                         );
                         served += 1;
                         // Serving is the activity the idle-LRU orders by.
-                        sessions.touch(*id);
+                        sessions.touch_slot(slot);
                     }
                 }
                 Err(e) => {
                     // Consume only the failed batch's payloads; other models'
                     // pending traffic is untouched and still gets its batch.
-                    for id in ids.iter() {
-                        let session = sessions
-                            .get_mut(*id)
-                            .expect("pending payload from registered station");
+                    for &slot in slots.iter() {
+                        let session = sessions.at_mut(slot);
                         session.set_pending(false);
                         session.set_pending_stamp(FrameStamp::default());
                     }
@@ -824,23 +824,25 @@ impl ShardCore {
         let mut delay = RoundDelayStats::default();
         let mut first_error = None;
         for (key, model) in engine.models.iter().enumerate() {
-            let ids: Vec<StationId> = self
+            let slots: Vec<u32> = self
                 .sessions
-                .values()
-                .filter(|s| s.has_pending() && s.model_key() == key)
-                .map(StationSession::id)
+                .values_with_slot()
+                .filter(|(_, s)| s.has_pending() && s.model_key() == key)
+                .map(|(slot, _)| slot)
                 .collect();
-            if ids.is_empty() {
+            if slots.is_empty() {
                 continue;
             }
             batches += 1;
-            let mut flats = Vec::with_capacity(ids.len());
+            let mut flats = Vec::with_capacity(slots.len());
             let mut failure = None;
-            for id in &ids {
+            for &slot in &slots {
+                let payload = self.sessions.at(slot).payload();
                 let result = match engine.mode {
-                    TailWeights::F32 => model.reconstruct_quantized(self.sessions[id].payload()),
-                    TailWeights::Int8 => engine.tails[key]
-                        .reconstruct_quantized(self.sessions[id].payload(), engine.ik),
+                    TailWeights::F32 => model.reconstruct_quantized(payload),
+                    TailWeights::Int8 => {
+                        engine.tails[key].reconstruct_quantized(payload, engine.ik)
+                    }
                 };
                 match result {
                     Ok(flat) => flats.push(flat),
@@ -852,11 +854,8 @@ impl ShardCore {
             }
             match failure {
                 None => {
-                    for (id, flat) in ids.iter().zip(flats) {
-                        let session = self
-                            .sessions
-                            .get_mut(*id)
-                            .expect("pending payload from registered station");
+                    for (&slot, flat) in slots.iter().zip(flats) {
+                        let session = self.sessions.at_mut(slot);
                         session.store_feedback(&flat, round);
                         session.set_pending(false);
                         Self::account_served(
@@ -868,15 +867,12 @@ impl ShardCore {
                             &mut delay,
                         );
                         served += 1;
-                        self.sessions.touch(*id);
+                        self.sessions.touch_slot(slot);
                     }
                 }
                 Some(e) => {
-                    for id in &ids {
-                        let session = self
-                            .sessions
-                            .get_mut(*id)
-                            .expect("pending payload from registered station");
+                    for &slot in &slots {
+                        let session = self.sessions.at_mut(slot);
                         session.set_pending(false);
                         session.set_pending_stamp(FrameStamp::default());
                     }

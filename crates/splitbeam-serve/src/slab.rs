@@ -192,6 +192,46 @@ impl SessionSlab {
         self.by_id.values().filter_map(move |&i| self.session_at(i))
     }
 
+    /// `(slot, session)` pairs in ascending station-id order: the
+    /// [`Self::values`] walk carrying each session's slot index, so a round
+    /// close can reach the sessions it collected again through
+    /// [`Self::at`], [`Self::at_mut`] and [`Self::touch_slot`] without an
+    /// id lookup per row. A slot names its session until the next
+    /// [`Self::insert`], [`Self::remove`] or [`Self::evict_idle`].
+    pub(crate) fn values_with_slot(&self) -> impl Iterator<Item = (u32, &StationSession)> {
+        self.by_id
+            .values()
+            .filter_map(move |&i| self.session_at(i).map(|s| (i, s)))
+    }
+
+    /// The session in `slot`.
+    ///
+    /// Panics when the slot is free — the same contract as indexing by id:
+    /// callers only pass slots they just collected from this slab.
+    pub(crate) fn at(&self, slot: u32) -> &StationSession {
+        match self.session_at(slot) {
+            Some(session) => session,
+            None => panic!("session slot {slot} is free"),
+        }
+    }
+
+    /// Mutable [`Self::at`].
+    pub(crate) fn at_mut(&mut self, slot: u32) -> &mut StationSession {
+        match self.slots[slot as usize].session.as_mut() {
+            Some(session) => session,
+            None => panic!("session slot {slot} is free"),
+        }
+    }
+
+    /// [`Self::touch`] by slot: moves the session in `slot` to the hot end
+    /// of the LRU list.
+    pub(crate) fn touch_slot(&mut self, slot: u32) {
+        if self.session_at(slot).is_some() {
+            self.lru_unlink(slot);
+            self.lru_push_tail(slot);
+        }
+    }
+
     /// `(id, session)` pairs in ascending station-id order.
     pub fn iter(&self) -> impl Iterator<Item = (StationId, &StationSession)> {
         self.by_id
@@ -392,6 +432,39 @@ mod tests {
         let mut dense: Vec<StationId> = slab.values_unordered().map(|s| s.id()).collect();
         dense.sort_unstable();
         assert_eq!(dense, vec![1, 3, 8, 17, 99]);
+    }
+
+    #[test]
+    fn slot_accessors_follow_the_id_ordered_walk() {
+        let mut slab = SessionSlab::new();
+        for id in [42, 3, 17, 99, 8] {
+            slab.insert(session(id, 0)).unwrap();
+        }
+        slab.remove(42);
+        slab.insert(session(1, 0)).unwrap();
+        let slots: Vec<(u32, StationId)> = slab
+            .values_with_slot()
+            .map(|(slot, s)| (slot, s.id()))
+            .collect();
+        assert_eq!(
+            slots.iter().map(|&(_, id)| id).collect::<Vec<_>>(),
+            ids(&slab)
+        );
+        for &(slot, id) in &slots {
+            assert_eq!(slab.at(slot).id(), id);
+            assert_eq!(slab.at_mut(slot).id(), id);
+            assert_eq!(slab.handle(id).map(|h| h.index), Some(slot));
+        }
+        // Touching by slot orders the LRU exactly like touching by id.
+        let mut by_id = slab.clone();
+        for &(slot, id) in slots.iter().rev().step_by(2) {
+            slab.at_mut(slot).store_feedback(&[0.0], 4);
+            slab.touch_slot(slot);
+            by_id.get_mut(id).unwrap().store_feedback(&[0.0], 4);
+            by_id.touch(id);
+        }
+        assert_eq!(slab.evict_idle(6, 3), by_id.evict_idle(6, 3));
+        assert_eq!(ids(&slab), ids(&by_id));
     }
 
     #[test]

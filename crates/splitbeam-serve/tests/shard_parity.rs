@@ -142,14 +142,18 @@ proptest! {
         };
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let traffic = generate_traffic(&cfg, &m, &mut rng);
-        let mut parallel = build_sharded_server(m.clone(), cfg.stations, 4, shards);
-        let mut serial = build_sharded_server(m.clone(), cfg.stations, 4, shards);
-        let p = serve_traffic(&mut parallel, &traffic, ServeMode::Batched).unwrap();
-        let s = serve_traffic(&mut serial, &traffic, ServeMode::Serial).unwrap();
-        prop_assert_eq!(p.total_served(), s.total_served());
-        for id in 0..traffic.max_station_id {
-            prop_assert_eq!(parallel.feedback_of(id), serial.feedback_of(id));
-        }
+        // Sibling tests flip the process-global kernel override; hold the
+        // lock so both servers run the same kernel.
+        with_kernel(KernelChoice::Auto, || {
+            let mut parallel = build_sharded_server(m.clone(), cfg.stations, 4, shards);
+            let mut serial = build_sharded_server(m.clone(), cfg.stations, 4, shards);
+            let p = serve_traffic(&mut parallel, &traffic, ServeMode::Batched).unwrap();
+            let s = serve_traffic(&mut serial, &traffic, ServeMode::Serial).unwrap();
+            prop_assert_eq!(p.total_served(), s.total_served());
+            for id in 0..traffic.max_station_id {
+                prop_assert_eq!(parallel.feedback_of(id), serial.feedback_of(id));
+            }
+        });
     }
 }
 

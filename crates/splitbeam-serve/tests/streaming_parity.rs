@@ -181,37 +181,41 @@ proptest! {
 /// batched and serial lockstep drivers bit-exactly.
 #[test]
 fn plain_streaming_mode_matches_batched_and_serial() {
-    let m = model(101);
-    let cfg = SimConfig {
-        stations: 5,
-        rounds: 3,
-        bits_per_value: 6,
-        drop_every: 3,
-        ..SimConfig::default()
-    };
-    let mut rng = ChaCha8Rng::seed_from_u64(102);
-    let traffic = generate_traffic(&cfg, &m, &mut rng);
-    let mut batched = build_server(m.clone(), cfg.stations, cfg.bits_per_value);
-    let want = serve_traffic(&mut batched, &traffic, ServeMode::Batched).unwrap();
-    let mut serial = build_server(m.clone(), cfg.stations, cfg.bits_per_value);
-    let want_serial = serve_traffic(&mut serial, &traffic, ServeMode::Serial).unwrap();
-    assert_eq!(want, want_serial);
+    // Sibling tests flip the process-global kernel override; hold the lock
+    // so every server in this comparison runs the same kernel.
+    with_kernel(KernelChoice::Auto, || {
+        let m = model(101);
+        let cfg = SimConfig {
+            stations: 5,
+            rounds: 3,
+            bits_per_value: 6,
+            drop_every: 3,
+            ..SimConfig::default()
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(102);
+        let traffic = generate_traffic(&cfg, &m, &mut rng);
+        let mut batched = build_server(m.clone(), cfg.stations, cfg.bits_per_value);
+        let want = serve_traffic(&mut batched, &traffic, ServeMode::Batched).unwrap();
+        let mut serial = build_server(m.clone(), cfg.stations, cfg.bits_per_value);
+        let want_serial = serve_traffic(&mut serial, &traffic, ServeMode::Serial).unwrap();
+        assert_eq!(want, want_serial);
 
-    let mut streaming = build_server(m.clone(), cfg.stations, cfg.bits_per_value);
-    streaming.set_streaming(true);
-    let got = serve_traffic(&mut streaming, &traffic, ServeMode::Streaming).unwrap();
-    assert_eq!(got, want, "plain streaming must equal the barrier closes");
-    for id in 0..traffic.max_station_id {
-        assert_eq!(streaming.feedback_of(id), batched.feedback_of(id));
-    }
+        let mut streaming = build_server(m.clone(), cfg.stations, cfg.bits_per_value);
+        streaming.set_streaming(true);
+        let got = serve_traffic(&mut streaming, &traffic, ServeMode::Streaming).unwrap();
+        assert_eq!(got, want, "plain streaming must equal the barrier closes");
+        for id in 0..traffic.max_station_id {
+            assert_eq!(streaming.feedback_of(id), batched.feedback_of(id));
+        }
 
-    let mut sharded = build_sharded_server(m, cfg.stations, cfg.bits_per_value, 4);
-    sharded.set_streaming(true);
-    let got = serve_traffic(&mut sharded, &traffic, ServeMode::Streaming).unwrap();
-    assert_eq!(got.total_served(), want.total_served());
-    for id in 0..traffic.max_station_id {
-        assert_eq!(sharded.feedback_of(id), batched.feedback_of(id));
-    }
+        let mut sharded = build_sharded_server(m, cfg.stations, cfg.bits_per_value, 4);
+        sharded.set_streaming(true);
+        let got = serve_traffic(&mut sharded, &traffic, ServeMode::Streaming).unwrap();
+        assert_eq!(got.total_served(), want.total_served());
+        for id in 0..traffic.max_station_id {
+            assert_eq!(sharded.feedback_of(id), batched.feedback_of(id));
+        }
+    });
 }
 
 /// The headline property of killing the barrier: a deliberately stalled
@@ -220,73 +224,77 @@ fn plain_streaming_mode_matches_batched_and_serial() {
 /// the slowest one.
 #[test]
 fn stalled_shard_does_not_degrade_other_shards_under_streaming() {
-    let m = model(201);
-    let bits = 6u8;
-    let stations = 8u64;
-    let policy = DeadlinePolicy::eq7d();
-    // 15 ms of close lag on a 10 ms budget + 10 ms grace: stalled reports
-    // classify late, not expired.
-    let stall_ns = 15_000_000u64;
+    // The three runs compare feedback bytes; hold the kernel lock so a
+    // sibling test cannot flip the kernel between them.
+    with_kernel(KernelChoice::Auto, || {
+        let m = model(201);
+        let bits = 6u8;
+        let stations = 8u64;
+        let policy = DeadlinePolicy::eq7d();
+        // 15 ms of close lag on a 10 ms budget + 10 ms grace: stalled reports
+        // classify late, not expired.
+        let stall_ns = 15_000_000u64;
 
-    let build = |streaming: bool, stall: bool| {
-        let mut server = ShardedApServer::new(4);
-        let key = server.register_model(m.clone());
-        for id in 0..stations {
-            server.register_station(id, key, bits).unwrap();
-        }
-        server.set_streaming(streaming);
-        if stall {
-            server.set_shard_stall_ns(0, stall_ns);
-        }
-        for id in 0..stations {
-            let frame = station_frame(&m, 4000 + id, bits);
+        let build = |streaming: bool, stall: bool| {
+            let mut server = ShardedApServer::new(4);
+            let key = server.register_model(m.clone());
+            for id in 0..stations {
+                server.register_station(id, key, bits).unwrap();
+            }
+            server.set_streaming(streaming);
+            if stall {
+                server.set_shard_stall_ns(0, stall_ns);
+            }
+            for id in 0..stations {
+                let frame = station_frame(&m, 4000 + id, bits);
+                server
+                    .ingest_wire_at(id, &frame, FrameStamp::default())
+                    .unwrap();
+            }
             server
-                .ingest_wire_at(id, &frame, FrameStamp::default())
-                .unwrap();
+        };
+
+        // Barrier, stalled shard 0: the whole round waits for the slowest shard,
+        // so every report on every shard pays the 15 ms lag and lands late.
+        let mut barrier = build(false, true);
+        let summary = barrier.process_round_deadline(policy).unwrap();
+        assert_eq!(summary.served, stations as usize);
+        assert_eq!(
+            (summary.on_time, summary.late),
+            (0, stations as usize),
+            "the barrier must couple every shard to the stalled one"
+        );
+        for stats in barrier.shard_round_stats() {
+            assert_eq!(stats.on_time, 0);
         }
-        server
-    };
 
-    // Barrier, stalled shard 0: the whole round waits for the slowest shard,
-    // so every report on every shard pays the 15 ms lag and lands late.
-    let mut barrier = build(false, true);
-    let summary = barrier.process_round_deadline(policy).unwrap();
-    assert_eq!(summary.served, stations as usize);
-    assert_eq!(
-        (summary.on_time, summary.late),
-        (0, stations as usize),
-        "the barrier must couple every shard to the stalled one"
-    );
-    for stats in barrier.shard_round_stats() {
-        assert_eq!(stats.on_time, 0);
-    }
+        // Streaming, stalled shard 0: only shard 0's own reports pay its stall.
+        let mut streaming = build(true, true);
+        let summary = streaming.finalize_stream_round(Some(policy)).unwrap();
+        assert_eq!(summary.served, stations as usize);
+        assert_eq!((summary.on_time, summary.late), (6, 2));
+        let stats = streaming.shard_round_stats();
+        assert_eq!((stats[0].on_time, stats[0].late), (0, 2), "stalled shard");
+        for (idx, s) in stats.iter().enumerate().skip(1) {
+            assert_eq!((s.on_time, s.late), (2, 0), "healthy shard {idx}");
+        }
 
-    // Streaming, stalled shard 0: only shard 0's own reports pay its stall.
-    let mut streaming = build(true, true);
-    let summary = streaming.finalize_stream_round(Some(policy)).unwrap();
-    assert_eq!(summary.served, stations as usize);
-    assert_eq!((summary.on_time, summary.late), (6, 2));
-    let stats = streaming.shard_round_stats();
-    assert_eq!((stats[0].on_time, stats[0].late), (0, 2), "stalled shard");
-    for (idx, s) in stats.iter().enumerate().skip(1) {
-        assert_eq!((s.on_time, s.late), (2, 0), "healthy shard {idx}");
-    }
+        // The unstalled streaming run is the reference: healthy shards in the
+        // stalled run match it exactly.
+        let mut clean = build(true, false);
+        let clean_summary = clean.finalize_stream_round(Some(policy)).unwrap();
+        assert_eq!(clean_summary.on_time, stations as usize);
+        for (idx, s) in clean.shard_round_stats().iter().enumerate().skip(1) {
+            assert_eq!(*s, stats[idx]);
+        }
 
-    // The unstalled streaming run is the reference: healthy shards in the
-    // stalled run match it exactly.
-    let mut clean = build(true, false);
-    let clean_summary = clean.finalize_stream_round(Some(policy)).unwrap();
-    assert_eq!(clean_summary.on_time, stations as usize);
-    for (idx, s) in clean.shard_round_stats().iter().enumerate().skip(1) {
-        assert_eq!(*s, stats[idx]);
-    }
-
-    // Feedback bytes are identical across all three runs — lateness is an
-    // accounting outcome, not a content change.
-    for id in 0..stations {
-        assert_eq!(streaming.feedback_of(id), barrier.feedback_of(id));
-        assert_eq!(streaming.feedback_of(id), clean.feedback_of(id));
-    }
+        // Feedback bytes are identical across all three runs — lateness is an
+        // accounting outcome, not a content change.
+        for id in 0..stations {
+            assert_eq!(streaming.feedback_of(id), barrier.feedback_of(id));
+            assert_eq!(streaming.feedback_of(id), clean.feedback_of(id));
+        }
+    });
 }
 
 /// Satellite regression: shards with zero pending frames (an empty

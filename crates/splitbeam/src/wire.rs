@@ -62,8 +62,12 @@ pub const LEGACY_WIRE_HEADER_BYTES: usize = LEGACY_WIRE_HEADER_BITS / 8;
 
 const CRC32_POLY: u32 = 0xEDB8_8320;
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `CRC32_TABLES[0]` is the classic bytewise table,
+/// and `CRC32_TABLES[t][i]` is the CRC of byte `i` followed by `t` zero
+/// bytes, so eight input bytes fold into the register with eight lookups
+/// and no serial per-byte dependency.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -76,21 +80,55 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC-32 (IEEE 802.3) over `data` — the same checksum that seals every v2
 /// frame. Exposed so tests and fault tooling can re-seal deliberately mutated
-/// frames.
+/// frames. Slicing-by-8: eight bytes per step, then a bytewise tail.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut c = u32::MAX;
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    !c
+}
+
+/// The bytewise table walk — the oracle [`crc32`] is tested against.
+#[cfg(test)]
+fn crc32_bytewise(data: &[u8]) -> u32 {
     let mut c = u32::MAX;
     for &b in data {
-        c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        c = CRC32_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -413,6 +451,19 @@ mod tests {
         // IEEE 802.3 check value for the standard "123456789" test string.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn slicing_by_8_matches_the_bytewise_oracle() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x5EED_C4C3);
+        let data: Vec<u8> = (0..512 + 7).map(|_| rng.gen::<u32>() as u8).collect();
+        for len in 0..=512 {
+            // Every start offset mod 8, so chunk boundaries fall everywhere.
+            let start = len % 8;
+            let bytes = &data[start..start + len];
+            assert_eq!(crc32(bytes), crc32_bytewise(bytes), "len {len}");
+        }
     }
 
     #[test]
