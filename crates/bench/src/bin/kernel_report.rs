@@ -221,13 +221,13 @@ fn serve_under(
     traffic: &splitbeam_serve::driver::SimTraffic,
 ) -> (f64, bool) {
     set_kernel(Some(choice));
-    let mut batched = build_server(model.clone(), sim.stations, sim.bits_per_value);
-    let mut serial = build_server(model.clone(), sim.stations, sim.bits_per_value);
+    let mut batched = build_server(model.clone(), sim.stations, sim.bits_per_value, 1);
+    let mut serial = build_server(model.clone(), sim.stations, sim.bits_per_value, 1);
     serve_traffic(&mut batched, traffic, ServeMode::Batched).expect("batched serving");
     serve_traffic(&mut serial, traffic, ServeMode::Serial).expect("serial serving");
     let bit_exact = feedback_identical(&batched, &serial, sim.stations);
 
-    let mut server = build_server(model.clone(), sim.stations, sim.bits_per_value);
+    let mut server = build_server(model.clone(), sim.stations, sim.bits_per_value, 1);
     let ns_per_pass = measure(|| {
         serve_traffic(&mut server, traffic, ServeMode::Batched).expect("batched serving");
     });

@@ -34,10 +34,9 @@ use splitbeam_bench::{env_usize, feedback_identical};
 use splitbeam_hwsim::accelerator::AcceleratorModel;
 use splitbeam_hwsim::event::ns_to_s;
 use splitbeam_serve::driver::{
-    build_server, build_sharded_server, generate_traffic, serve_traffic, RoundServing, ServeMode,
-    SimConfig, SimTraffic,
+    build_server, generate_traffic, serve_traffic, RoundServing, ServeMode, SimConfig, SimTraffic,
 };
-use splitbeam_serve::event::{build_event_driver, build_sharded_event_driver, EventConfig};
+use splitbeam_serve::event::{build_event_driver, EventConfig};
 use splitbeam_serve::{ApServer, EventDriver, RoundSummary, StationId};
 use wifi_phy::ofdm::{Bandwidth, MimoConfig};
 use wifi_phy::sounding::SoundingConfig;
@@ -128,6 +127,7 @@ fn main() {
             model.clone(),
             stations,
             bits_per_value,
+            1,
             event_cfg,
             Some(&accel),
         );
@@ -138,6 +138,7 @@ fn main() {
             model.clone(),
             stations,
             bits_per_value,
+            1,
             event_cfg,
             Some(&accel),
         );
@@ -199,16 +200,17 @@ fn main() {
         churn: splitbeam_serve::driver::ChurnConfig::none(),
     };
     let parity_traffic = generate_traffic(&parity_sim, &model, &mut rng);
-    let mut batched = build_server(model.clone(), parity_stations, bits_per_value);
+    let mut batched = build_server(model.clone(), parity_stations, bits_per_value, 1);
     let want =
         serve_traffic(&mut batched, &parity_traffic, ServeMode::Batched).expect("batched serving");
-    let mut serial = build_server(model.clone(), parity_stations, bits_per_value);
+    let mut serial = build_server(model.clone(), parity_stations, bits_per_value, 1);
     let want_serial =
         serve_traffic(&mut serial, &parity_traffic, ServeMode::Serial).expect("serial serving");
     let mut event = build_event_driver(
         model.clone(),
         parity_stations,
         bits_per_value,
+        1,
         EventConfig::lockstep(),
         None,
     );
@@ -223,11 +225,10 @@ fn main() {
         ("matches".into(), parity.into()),
     ])];
     for shards in [1usize, 4] {
-        let mut legacy =
-            build_sharded_server(model.clone(), parity_stations, bits_per_value, shards);
+        let mut legacy = build_server(model.clone(), parity_stations, bits_per_value, shards);
         let legacy_outcome = serve_traffic(&mut legacy, &parity_traffic, ServeMode::Batched)
             .expect("sharded serving");
-        let mut sharded_event = build_sharded_event_driver(
+        let mut sharded_event = build_event_driver(
             model.clone(),
             parity_stations,
             bits_per_value,

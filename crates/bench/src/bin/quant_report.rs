@@ -119,9 +119,9 @@ fn int8_rows_ladder(k: usize, n: usize) -> Vec<f64> {
 /// straight into the ratio.
 fn serve_pps_pair(model: &SplitBeamModel, sim: &SimConfig, traffic: &SimTraffic) -> (f64, f64) {
     set_kernel(Some(KernelChoice::Auto));
-    let mut f32_server = build_server(model.clone(), sim.stations, sim.bits_per_value);
+    let mut f32_server = build_server(model.clone(), sim.stations, sim.bits_per_value, 1);
     f32_server.set_tail_weights(TailWeights::F32);
-    let mut int8_server = build_server(model.clone(), sim.stations, sim.bits_per_value);
+    let mut int8_server = build_server(model.clone(), sim.stations, sim.bits_per_value, 1);
     int8_server.set_tail_weights(TailWeights::Int8);
     let (f32_ns, int8_ns) = measure_pair(
         || {

@@ -37,10 +37,10 @@ use splitbeam_bench::timing::num_threads;
 use splitbeam_bench::{env_usize, feedback_identical};
 use splitbeam_hwsim::fault::FaultConfig;
 use splitbeam_serve::driver::{
-    build_server, build_sharded_server, generate_traffic, link_check, serve_traffic, ServeMode,
-    ServeOutcome, SimConfig, SimTraffic,
+    build_server, generate_traffic, link_check, serve_traffic, ServeMode, ServeOutcome, SimConfig,
+    SimTraffic,
 };
-use splitbeam_serve::event::{build_event_driver, build_sharded_event_driver, EventConfig};
+use splitbeam_serve::event::{build_event_driver, EventConfig};
 use splitbeam_serve::{ApServer, EventDriver};
 use wifi_phy::ofdm::{Bandwidth, MimoConfig};
 use wifi_phy::sounding::SoundingConfig;
@@ -144,12 +144,12 @@ fn main() {
             ..FaultConfig::none()
         };
         let cfg = EventConfig { faults, ..base_cfg };
-        let mut driver = build_event_driver(model.clone(), stations, bits_per_value, cfg, None);
+        let mut driver = build_event_driver(model.clone(), stations, bits_per_value, 1, cfg, None);
         let row = run(&mut driver, &traffic);
         let stats = driver.fault_stats();
 
         // Same-seed rerun must replay the fault plan bit-exactly.
-        let mut rerun = build_event_driver(model.clone(), stations, bits_per_value, cfg, None);
+        let mut rerun = build_event_driver(model.clone(), stations, bits_per_value, 1, cfg, None);
         let rrow = run(&mut rerun, &traffic);
         deterministic &= rrow.outcome == row.outcome && rerun.fault_stats() == stats;
 
@@ -159,6 +159,7 @@ fn main() {
             model.clone(),
             stations,
             bits_per_value,
+            1,
             EventConfig {
                 max_retries: 0,
                 ..cfg
@@ -248,13 +249,14 @@ fn main() {
         ..sim
     };
     let parity_traffic = generate_traffic(&parity_sim, &model, &mut rng);
-    let mut batched = build_server(model.clone(), stations, bits_per_value);
+    let mut batched = build_server(model.clone(), stations, bits_per_value, 1);
     let want =
         serve_traffic(&mut batched, &parity_traffic, ServeMode::Batched).expect("batched serving");
-    let mut serial = build_server(model.clone(), stations, bits_per_value);
+    let mut serial = build_server(model.clone(), stations, bits_per_value, 1);
     let want_serial =
         serve_traffic(&mut serial, &parity_traffic, ServeMode::Serial).expect("serial serving");
-    let mut event = build_event_driver(model.clone(), stations, bits_per_value, parity_cfg, None);
+    let mut event =
+        build_event_driver(model.clone(), stations, bits_per_value, 1, parity_cfg, None);
     let got =
         serve_traffic(&mut event, &parity_traffic, ServeMode::Batched).expect("event serving");
     let mut parity = got == want
@@ -266,10 +268,10 @@ fn main() {
         ("matches".into(), parity.into()),
     ])];
     for shards in [1usize, 4] {
-        let mut legacy = build_sharded_server(model.clone(), stations, bits_per_value, shards);
+        let mut legacy = build_server(model.clone(), stations, bits_per_value, shards);
         let legacy_outcome =
             serve_traffic(&mut legacy, &parity_traffic, ServeMode::Batched).expect("sharded");
-        let mut sharded_event = build_sharded_event_driver(
+        let mut sharded_event = build_event_driver(
             model.clone(),
             stations,
             bits_per_value,
@@ -296,6 +298,7 @@ fn main() {
         model.clone(),
         stations,
         bits_per_value,
+        1,
         EventConfig {
             faults: FaultConfig::none(),
             max_retries: 0,

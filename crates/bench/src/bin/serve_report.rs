@@ -76,8 +76,8 @@ fn main() {
     let payloads_per_pass = traffic.total_frames();
 
     // Bit-exactness: one pass per mode on fresh servers.
-    let mut batched_server = build_server(model.clone(), stations, bits_per_value);
-    let mut serial_server = build_server(model.clone(), stations, bits_per_value);
+    let mut batched_server = build_server(model.clone(), stations, bits_per_value, 1);
+    let mut serial_server = build_server(model.clone(), stations, bits_per_value, 1);
     let batched_outcome =
         serve_traffic(&mut batched_server, &traffic, ServeMode::Batched).expect("batched serving");
     let serial_outcome =
@@ -88,13 +88,13 @@ fn main() {
     // Throughput: reuse one long-lived server per mode (sessions persist, the
     // round counter keeps advancing — exactly the steady-state serving loop).
     let ns_batched = {
-        let mut server = build_server(model.clone(), stations, bits_per_value);
+        let mut server = build_server(model.clone(), stations, bits_per_value, 1);
         measure(|| {
             serve_traffic(&mut server, &traffic, ServeMode::Batched).expect("batched serving");
         })
     };
     let ns_serial = {
-        let mut server = build_server(model.clone(), stations, bits_per_value);
+        let mut server = build_server(model.clone(), stations, bits_per_value, 1);
         measure(|| {
             serve_traffic(&mut server, &traffic, ServeMode::Serial).expect("serial serving");
         })
@@ -122,7 +122,7 @@ fn main() {
         ..sim
     };
     let dropped_traffic = generate_traffic(&dropped_sim, &model, &mut rng);
-    let mut link_server = build_server(model, stations, bits_per_value);
+    let mut link_server = build_server(model, stations, bits_per_value, 1);
     serve_traffic(&mut link_server, &dropped_traffic, ServeMode::Batched).expect("serving");
     let stale_station_rounds = stations * rounds - dropped_traffic.total_frames();
     let link_report = link_check(

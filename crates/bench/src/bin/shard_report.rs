@@ -1,6 +1,6 @@
 //! Sharded-serving benchmark: the multi-core AP serving layer under churn.
 //!
-//! Drives `splitbeam_serve::shard::ShardedApServer` over simulated sounding
+//! Drives `splitbeam_serve::ApServer::with_shards(n)` over simulated sounding
 //! rounds with session churn (joins, departures, bursty drops) and writes
 //! `BENCH_PR4.json` with:
 //!
@@ -29,8 +29,7 @@ use splitbeam_bench::report::{kernel_dispatch_value, JsonReport, JsonValue};
 use splitbeam_bench::timing::{measure, num_threads};
 use splitbeam_bench::{env_usize, feedback_identical};
 use splitbeam_serve::driver::{
-    build_server, build_sharded_server, generate_traffic, serve_traffic, ChurnConfig, ServeMode,
-    SimConfig,
+    build_server, generate_traffic, serve_traffic, ChurnConfig, ServeMode, SimConfig,
 };
 use wifi_phy::ofdm::{Bandwidth, MimoConfig};
 
@@ -90,10 +89,10 @@ fn main() {
     let payloads_per_pass = steady_traffic.total_frames();
 
     // References: single-shard batched and station-at-a-time serial.
-    let mut batched = build_server(model.clone(), stations, bits_per_value);
+    let mut batched = build_server(model.clone(), stations, bits_per_value, 1);
     let batched_outcome =
         serve_traffic(&mut batched, &traffic, ServeMode::Batched).expect("batched serving");
-    let mut serial = build_server(model.clone(), stations, bits_per_value);
+    let mut serial = build_server(model.clone(), stations, bits_per_value, 1);
     let serial_outcome =
         serve_traffic(&mut serial, &traffic, ServeMode::Serial).expect("serial serving");
     let batched_matches_serial = batched_outcome.summaries == serial_outcome.summaries
@@ -104,7 +103,7 @@ fn main() {
     let mut verdict_rows = Vec::new();
     let mut all_exact = true;
     for &shards in &SHARD_COUNTS {
-        let mut sharded = build_sharded_server(model.clone(), stations, bits_per_value, shards);
+        let mut sharded = build_server(model.clone(), stations, bits_per_value, shards);
         let outcome =
             serve_traffic(&mut sharded, &traffic, ServeMode::Batched).expect("sharded serving");
         let matches_batched = outcome.total_served() == batched_outcome.total_served()
@@ -112,8 +111,7 @@ fn main() {
         let matches_serial = feedback_identical(&sharded, &serial, all_ids);
         all_exact &= matches_batched && matches_serial;
 
-        let mut bench_server =
-            build_sharded_server(model.clone(), stations, bits_per_value, shards);
+        let mut bench_server = build_server(model.clone(), stations, bits_per_value, shards);
         let ns_per_pass = measure(|| {
             serve_traffic(&mut bench_server, &steady_traffic, ServeMode::Batched)
                 .expect("sharded serving");
@@ -137,7 +135,7 @@ fn main() {
     // Churn + lifecycle run on the same traffic: an aggressive idle budget
     // forces evictions, and serve_traffic cleanly re-associates any evicted
     // station the moment it transmits again.
-    let mut lifecycle = build_sharded_server(model.clone(), stations, bits_per_value, 4);
+    let mut lifecycle = build_server(model.clone(), stations, bits_per_value, 4);
     lifecycle.set_max_idle_rounds(Some(1));
     let lifecycle_outcome =
         serve_traffic(&mut lifecycle, &traffic, ServeMode::Batched).expect("lifecycle serving");

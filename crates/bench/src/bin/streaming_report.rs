@@ -2,7 +2,7 @@
 //! e2e delay, watermark streaming vs. the legacy round barrier, with one
 //! artificially slow shard.
 //!
-//! Drives `EventDriver<ShardedApServer>` (4 shards) over growing fleets and
+//! Drives `EventDriver<ApServer>` (4 shards) over growing fleets and
 //! writes `BENCH_PR7.json` with:
 //!
 //! * per-station-count rows: overall / healthy-shard / stalled-shard
@@ -37,12 +37,11 @@ use splitbeam_bench::timing::num_threads;
 use splitbeam_bench::{env_usize, feedback_identical};
 use splitbeam_hwsim::event::ns_to_s;
 use splitbeam_serve::driver::{
-    build_server, build_sharded_server, generate_traffic, serve_traffic, ChurnConfig, RoundServing,
-    ServeMode, SimConfig, SimTraffic,
+    build_server, generate_traffic, serve_traffic, ChurnConfig, RoundServing, ServeMode, SimConfig,
+    SimTraffic,
 };
-use splitbeam_serve::event::{build_event_driver, build_sharded_event_driver, EventConfig};
-use splitbeam_serve::shard::{ShardRoundStats, ShardedApServer};
-use splitbeam_serve::{EventDriver, RoundSummary, StationId};
+use splitbeam_serve::event::{build_event_driver, EventConfig};
+use splitbeam_serve::{ApServer, EventDriver, RoundSummary, ShardRoundStats, StationId};
 use wifi_phy::ofdm::{Bandwidth, MimoConfig};
 use wifi_phy::sounding::SoundingConfig;
 
@@ -107,11 +106,12 @@ fn add_stats(acc: &mut ShardRoundStats, s: &ShardRoundStats) {
     acc.expired += s.expired;
     acc.batches += s.batches;
     acc.micro_closes += s.micro_closes;
+    acc.had_traffic |= s.had_traffic;
 }
 
 /// Replays `traffic` round by round; whether the close streams or uses the
 /// barrier is decided by the driver's `EventConfig::streaming` flag.
-fn run_sharded(driver: &mut EventDriver<ShardedApServer>, traffic: &SimTraffic) -> RunResult {
+fn run_sharded(driver: &mut EventDriver<ApServer>, traffic: &SimTraffic) -> RunResult {
     let mut summaries = Vec::with_capacity(traffic.rounds.len());
     let mut shard_totals = vec![ShardRoundStats::default(); driver.inner().num_shards()];
     let mut delays_s = Vec::new();
@@ -152,9 +152,8 @@ fn build_run(
     bits_per_value: u8,
     cfg: EventConfig,
     stall_ns: u64,
-) -> EventDriver<ShardedApServer> {
-    let mut driver =
-        build_sharded_event_driver(model.clone(), stations, bits_per_value, SHARDS, cfg, None);
+) -> EventDriver<ApServer> {
+    let mut driver = build_event_driver(model.clone(), stations, bits_per_value, SHARDS, cfg, None);
     if stall_ns > 0 {
         driver.inner_mut().set_shard_stall_ns(0, stall_ns);
     }
@@ -289,10 +288,10 @@ fn main() {
         churn: ChurnConfig::none(),
     };
     let parity_traffic = generate_traffic(&parity_sim, &model, &mut rng);
-    let mut batched = build_server(model.clone(), parity_stations, bits_per_value);
+    let mut batched = build_server(model.clone(), parity_stations, bits_per_value, 1);
     let want =
         serve_traffic(&mut batched, &parity_traffic, ServeMode::Batched).expect("batched serving");
-    let mut serial = build_server(model.clone(), parity_stations, bits_per_value);
+    let mut serial = build_server(model.clone(), parity_stations, bits_per_value, 1);
     let want_serial =
         serve_traffic(&mut serial, &parity_traffic, ServeMode::Serial).expect("serial serving");
     let mut lockstep_stream_cfg = EventConfig::lockstep();
@@ -301,6 +300,7 @@ fn main() {
         model.clone(),
         parity_stations,
         bits_per_value,
+        1,
         lockstep_stream_cfg,
         None,
     );
@@ -315,11 +315,10 @@ fn main() {
         ("matches".into(), parity.into()),
     ])];
     for shards in [1usize, 4] {
-        let mut legacy =
-            build_sharded_server(model.clone(), parity_stations, bits_per_value, shards);
+        let mut legacy = build_server(model.clone(), parity_stations, bits_per_value, shards);
         let legacy_outcome = serve_traffic(&mut legacy, &parity_traffic, ServeMode::Batched)
             .expect("sharded serving");
-        let mut sharded_event = build_sharded_event_driver(
+        let mut sharded_event = build_event_driver(
             model.clone(),
             parity_stations,
             bits_per_value,

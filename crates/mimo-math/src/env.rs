@@ -1,21 +1,20 @@
 //! Centralized parsing for the `SPLITBEAM_*` environment knobs.
 //!
 //! Every runtime knob in the workspace (`SPLITBEAM_KERNEL`,
-//! `SPLITBEAM_SHARDS`, `SPLITBEAM_JITTER_NS`, `SPLITBEAM_STREAMING`, the
-//! fault-injection family, the bench workload sizes, …) is a string in the
-//! process environment, and every consumer historically re-implemented the
-//! same three lines of `var → trim → parse` with slightly different
-//! whitespace and error handling. This module is the single implementation
-//! they all share.
+//! `SPLITBEAM_JITTER_NS`, `SPLITBEAM_STREAMING`, the fault-injection family,
+//! the bench workload sizes, …) is a string in the process environment, and
+//! every consumer historically re-implemented the same three lines of
+//! `var → trim → parse` with slightly different whitespace and error
+//! handling. This module is the single implementation they all share.
 //!
 //! # Malformed values
 //!
 //! The contract, uniformly: **unset, blank, and malformed values all fall
 //! back to the caller's default.** A typo in a knob can therefore never abort
-//! a run or silently flip a boolean on — `SPLITBEAM_SHARDS=fuor` behaves
-//! exactly like an unset `SPLITBEAM_SHARDS`. The one intentional asymmetry is
-//! [`flag`], where *only* the literal truthy spellings enable a feature, so a
-//! malformed value keeps the feature off. Each behavior is pinned by a test
+//! a run or silently flip a boolean on — `SPLITBEAM_JITTER_NS=fuor` behaves
+//! exactly like an unset `SPLITBEAM_JITTER_NS`. The one intentional asymmetry
+//! is [`flag`], where *only* the literal truthy spellings enable a feature, so
+//! a malformed value keeps the feature off. Each behavior is pinned by a test
 //! below.
 
 use std::str::FromStr;

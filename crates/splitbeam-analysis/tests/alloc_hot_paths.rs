@@ -19,7 +19,7 @@ use splitbeam::fused::{TailScratch, TailWeights};
 use splitbeam::model::SplitBeamModel;
 use splitbeam::wire;
 use splitbeam_analysis::alloc_sentinel::{assert_counting, assert_no_alloc, CountingAlloc};
-use splitbeam_serve::server::ApServer;
+use splitbeam_serve::server::{ApServer, ServeMode};
 use splitbeam_serve::timing::FrameStamp;
 use wifi_phy::channel::{ChannelModel, EnvironmentProfile};
 use wifi_phy::ofdm::{Bandwidth, MimoConfig};
@@ -114,10 +114,10 @@ fn streaming_path(model: &SplitBeamModel) {
         // A watermark the frame's deadline can no longer outrun forces the
         // micro-batch close here rather than at the round barrier.
         server.advance_watermark(base + budget_ns, budget_ns / 10, None);
-        let summary = server.process_round_streaming(None).unwrap();
+        let summary = server.close(ServeMode::Streaming, None).unwrap();
         assert_eq!(summary.served, 1);
         assert_eq!(
-            server.last_micro_closes(),
+            server.shard_round_stats()[0].micro_closes,
             1,
             "watermark did not micro-close"
         );

@@ -5,8 +5,8 @@
 //! happens in [`generate_traffic`] ahead of time, and the AP-side serving path
 //! ([`serve_traffic`]) consumes only wire frames — so benchmarks can time the
 //! server in isolation and compare the coalesced batched path, the
-//! station-at-a-time reference and the sharded parallel path on identical
-//! traffic.
+//! station-at-a-time reference and the streaming path, at any shard count,
+//! on identical traffic.
 //!
 //! Traffic can include **session churn**: stations joining mid-run, stations
 //! leaving, and bursty rounds where half the fleet drops its report at once
@@ -14,9 +14,9 @@
 //! traffic ([`ChurnEvent`]), so every server type replays the identical
 //! workload.
 
+pub use crate::server::ServeMode;
 use crate::server::{ApServer, RoundSummary};
 use crate::session::StationId;
-use crate::shard::ShardedApServer;
 use crate::timing::{DeadlinePolicy, FrameStamp};
 use crate::ServeError;
 use rand::Rng;
@@ -257,25 +257,10 @@ pub fn generate_traffic(cfg: &SimConfig, model: &SplitBeamModel, rng: &mut impl 
     }
 }
 
-/// How [`serve_traffic`] closes each round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeMode {
-    /// Coalesced: one batched tail inference per model per round (parallel
-    /// across shards on a [`ShardedApServer`]).
-    Batched,
-    /// Reference: one tail inference per station (sequential across shards).
-    Serial,
-    /// Streaming: no round barrier — frames queue on per-shard rings and
-    /// shards micro-close on deadline watermarks; the round close only
-    /// flushes what watermarks have not already served. With no intermediate
-    /// watermark fired this degenerates bit-exactly to [`ServeMode::Batched`].
-    Streaming,
-}
-
-/// Anything that can replay driver traffic: the single-shard [`ApServer`]
-/// and the parallel [`ShardedApServer`]. The trait is the seam that lets one
-/// `serve_traffic` implementation drive (and cross-compare) every server
-/// flavor on identical workloads.
+/// Anything that can replay driver traffic: the [`ApServer`] at any shard
+/// count, and drivers layered on top of it ([`crate::EventDriver`]). The
+/// trait is the seam that lets one `serve_traffic` implementation drive (and
+/// cross-compare) every serving path on identical workloads.
 pub trait RoundServing {
     /// Associates a station (see [`ApServer::register_station`]).
     ///
@@ -346,9 +331,8 @@ pub trait RoundServing {
 
 /// The streaming extension of [`RoundServing`]: servers whose ingest can
 /// enqueue onto bounded per-shard rings and whose rounds can close through
-/// watermark-driven micro-batches instead of a global barrier. Implemented by
-/// both server flavors, so the event-driven driver can run every flavor in
-/// streaming mode through one code path.
+/// watermark-driven micro-batches instead of a global barrier, so the
+/// event-driven driver can run streaming mode through one code path.
 pub trait StreamServing: RoundServing {
     /// Switches between lockstep and streaming ingest. Only toggle while
     /// quiescent (no frames queued or pending).
@@ -410,11 +394,7 @@ impl RoundServing for ApServer {
     }
 
     fn close_round(&mut self, mode: ServeMode) -> Result<RoundSummary, ServeError> {
-        match mode {
-            ServeMode::Batched => self.process_round(),
-            ServeMode::Serial => self.process_round_serial(),
-            ServeMode::Streaming => self.process_round_streaming(None),
-        }
+        self.close(mode, None)
     }
 
     fn close_round_deadline(
@@ -422,11 +402,11 @@ impl RoundServing for ApServer {
         mode: ServeMode,
         policy: DeadlinePolicy,
     ) -> Result<RoundSummary, ServeError> {
-        match mode {
-            ServeMode::Batched => self.process_round_deadline(policy),
-            ServeMode::Serial => self.process_round_serial_deadline(policy),
-            ServeMode::Streaming => self.process_round_streaming(Some(policy)),
-        }
+        self.close(mode, Some(policy))
+    }
+
+    fn evicted_in_last_round(&self) -> usize {
+        ApServer::evicted_in_last_round(self)
     }
 
     fn feedback_of(&self, id: StationId) -> Option<&[f32]> {
@@ -452,127 +432,22 @@ impl StreamServing for ApServer {
         &mut self,
         policy: Option<DeadlinePolicy>,
     ) -> Result<RoundSummary, ServeError> {
-        self.process_round_streaming(policy)
+        self.close(ServeMode::Streaming, policy)
     }
 }
 
-impl RoundServing for ShardedApServer {
-    fn register_station(
-        &mut self,
-        id: StationId,
-        model_key: usize,
-        bits_per_value: u8,
-    ) -> Result<(), ServeError> {
-        ShardedApServer::register_station(self, id, model_key, bits_per_value)
-    }
-
-    fn deregister_station(&mut self, id: StationId) -> Result<(), ServeError> {
-        ShardedApServer::deregister_station(self, id)
-    }
-
-    fn is_registered(&self, id: StationId) -> bool {
-        self.session(id).is_some()
-    }
-
-    fn ingest_wire(&mut self, id: StationId, frame: &[u8]) -> Result<usize, ServeError> {
-        ShardedApServer::ingest_wire(self, id, frame)
-    }
-
-    fn ingest_wire_at(
-        &mut self,
-        id: StationId,
-        frame: &[u8],
-        stamp: FrameStamp,
-    ) -> Result<usize, ServeError> {
-        ShardedApServer::ingest_wire_at(self, id, frame, stamp)
-    }
-
-    fn close_round(&mut self, mode: ServeMode) -> Result<RoundSummary, ServeError> {
-        match mode {
-            ServeMode::Batched => self.process_round().map(|s| s.as_round_summary()),
-            ServeMode::Serial => self.process_round_serial().map(|s| s.as_round_summary()),
-            ServeMode::Streaming => {
-                ShardedApServer::finalize_stream_round(self, None).map(|s| s.as_round_summary())
-            }
-        }
-    }
-
-    fn close_round_deadline(
-        &mut self,
-        mode: ServeMode,
-        policy: DeadlinePolicy,
-    ) -> Result<RoundSummary, ServeError> {
-        match mode {
-            ServeMode::Batched => self
-                .process_round_deadline(policy)
-                .map(|s| s.as_round_summary()),
-            ServeMode::Serial => self
-                .process_round_serial_deadline(policy)
-                .map(|s| s.as_round_summary()),
-            ServeMode::Streaming => ShardedApServer::finalize_stream_round(self, Some(policy))
-                .map(|s| s.as_round_summary()),
-        }
-    }
-
-    fn evicted_in_last_round(&self) -> usize {
-        ShardedApServer::evicted_in_last_round(self)
-    }
-
-    fn feedback_of(&self, id: StationId) -> Option<&[f32]> {
-        ShardedApServer::feedback_of(self, id)
-    }
-}
-
-impl StreamServing for ShardedApServer {
-    fn set_streaming(&mut self, on: bool) {
-        ShardedApServer::set_streaming(self, on);
-    }
-
-    fn advance_watermark(
-        &mut self,
-        watermark_ns: u64,
-        step_ns: u64,
-        policy: Option<DeadlinePolicy>,
-    ) {
-        ShardedApServer::advance_watermark(self, watermark_ns, step_ns, policy);
-    }
-
-    fn finalize_stream_round(
-        &mut self,
-        policy: Option<DeadlinePolicy>,
-    ) -> Result<RoundSummary, ServeError> {
-        ShardedApServer::finalize_stream_round(self, policy).map(|s| s.as_round_summary())
-    }
-}
-
-/// Builds a single-shard server with `model` registered and stations
-/// `0..stations` associated at `bits_per_value` bits.
-///
-/// # Panics
-/// Panics on invalid `bits_per_value` (registration is infallible otherwise).
-pub fn build_server(model: SplitBeamModel, stations: usize, bits_per_value: u8) -> ApServer {
-    let mut server = ApServer::new();
-    let key = server.register_model(model);
-    for id in 0..stations as StationId {
-        server
-            .register_station(id, key, bits_per_value)
-            .expect("fresh server accepts fleet registration");
-    }
-    server
-}
-
-/// Builds a sharded server with `num_shards` shards, `model` registered and
+/// Builds a server with `num_shards` session shards, `model` registered and
 /// stations `0..stations` associated at `bits_per_value` bits.
 ///
 /// # Panics
 /// Panics on invalid `bits_per_value` (registration is infallible otherwise).
-pub fn build_sharded_server(
+pub fn build_server(
     model: SplitBeamModel,
     stations: usize,
     bits_per_value: u8,
     num_shards: usize,
-) -> ShardedApServer {
-    let mut server = ShardedApServer::new(num_shards);
+) -> ApServer {
+    let mut server = ApServer::with_shards(num_shards);
     let key = server.register_model(model);
     for id in 0..stations as StationId {
         server
@@ -815,8 +690,8 @@ mod tests {
         };
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let traffic = generate_traffic(&cfg, &model, &mut rng);
-        let mut batched = build_server(model.clone(), cfg.stations, cfg.bits_per_value);
-        let mut serial = build_server(model, cfg.stations, cfg.bits_per_value);
+        let mut batched = build_server(model.clone(), cfg.stations, cfg.bits_per_value, 1);
+        let mut serial = build_server(model, cfg.stations, cfg.bits_per_value, 1);
         let b = serve_traffic(&mut batched, &traffic, ServeMode::Batched).unwrap();
         let s = serve_traffic(&mut serial, &traffic, ServeMode::Serial).unwrap();
         assert_eq!(b, s);
@@ -848,11 +723,10 @@ mod tests {
         };
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         let traffic = generate_traffic(&cfg, &model, &mut rng);
-        let mut single = build_server(model.clone(), cfg.stations, cfg.bits_per_value);
+        let mut single = build_server(model.clone(), cfg.stations, cfg.bits_per_value, 1);
         let reference = serve_traffic(&mut single, &traffic, ServeMode::Batched).unwrap();
         for shards in [1usize, 2, 4, 7] {
-            let mut sharded =
-                build_sharded_server(model.clone(), cfg.stations, cfg.bits_per_value, shards);
+            let mut sharded = build_server(model.clone(), cfg.stations, cfg.bits_per_value, shards);
             let outcome = serve_traffic(&mut sharded, &traffic, ServeMode::Batched).unwrap();
             assert_eq!(outcome.total_served(), reference.total_served());
             for (got, want) in outcome.summaries.iter().zip(reference.summaries.iter()) {
@@ -889,7 +763,7 @@ mod tests {
         };
         let mut rng = ChaCha8Rng::seed_from_u64(10);
         let traffic = generate_traffic(&cfg, &model, &mut rng);
-        let mut server = build_sharded_server(model, cfg.stations, cfg.bits_per_value, 2);
+        let mut server = build_server(model, cfg.stations, cfg.bits_per_value, 2);
         server.set_max_idle_rounds(Some(0)); // evict after any silent round
         let outcome = serve_traffic(&mut server, &traffic, ServeMode::Batched).unwrap();
         assert!(
@@ -920,12 +794,46 @@ mod tests {
         };
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let traffic = generate_traffic(&cfg, &model, &mut rng);
-        let mut server = build_server(model, cfg.stations, cfg.bits_per_value);
+        let mut server = build_server(model, cfg.stations, cfg.bits_per_value, 1);
         serve_traffic(&mut server, &traffic, ServeMode::Batched).unwrap();
         let report = link_check(&server, &traffic, 0, cfg.snr_db, &mut rng).unwrap();
         // Two groups of two stations, every station carries payload bits.
         assert_eq!(report.per_user_bits.len(), 2);
         assert!(report.per_user_bits.iter().all(|&b| b > 0));
         assert!(report.ber().is_finite());
+    }
+
+    /// Precoding groups and the link check read the merged session view, so
+    /// a four-shard server groups and precodes exactly like one shard.
+    #[test]
+    fn link_check_is_identical_across_shard_counts() {
+        let model = trained_free_model(11);
+        let cfg = SimConfig {
+            stations: 9,
+            rounds: 3,
+            bits_per_value: 8,
+            drop_every: 4,
+            ..SimConfig::default()
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(12);
+        let traffic = generate_traffic(&cfg, &model, &mut rng);
+        let run = |shards: usize| {
+            let mut server = build_server(model.clone(), cfg.stations, cfg.bits_per_value, shards);
+            serve_traffic(&mut server, &traffic, ServeMode::Batched).unwrap();
+            let groups = server.mu_mimo_groups(1);
+            let feedback: Vec<_> = groups
+                .iter()
+                .map(|g| server.group_feedback(g).unwrap())
+                .collect();
+            let mut rng = ChaCha8Rng::seed_from_u64(13);
+            let report = link_check(&server, &traffic, 1, cfg.snr_db, &mut rng).unwrap();
+            (groups, feedback, report)
+        };
+        let (groups, feedback, report) = run(1);
+        assert!(groups.iter().filter(|g| g.len() > 1).count() >= 2);
+        let (groups4, feedback4, report4) = run(4);
+        assert_eq!(groups4, groups);
+        assert_eq!(feedback4, feedback);
+        assert_eq!(report4, report);
     }
 }

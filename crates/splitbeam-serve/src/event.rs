@@ -23,13 +23,12 @@
 //! The lockstep drivers are recovered as the degenerate case: with zero
 //! jitter, zero compute latency, an ideal medium and zero phase stagger
 //! ([`EventConfig::lockstep`]), every stamp is all-zero, every report is
-//! on-time, and the driver is **bit-exact** with `ApServer` /
-//! `ShardedApServer` serving — the refactor's correctness anchor.
+//! on-time, and the driver is **bit-exact** with lockstep `ApServer` serving
+//! at every shard count — the refactor's correctness anchor.
 
 use crate::driver::{RoundServing, ServeMode, StreamServing};
 use crate::server::{ApServer, RoundSummary};
 use crate::session::StationId;
-use crate::shard::ShardedApServer;
 use crate::timing::{DeadlinePolicy, FrameStamp};
 use crate::ServeError;
 use splitbeam::model::SplitBeamModel;
@@ -666,26 +665,11 @@ impl<S: StreamServing> RoundServing for EventDriver<S> {
     }
 }
 
-/// Computes the model's head/tail latency on `accel` and binds it to `key`;
-/// `None` binds zero compute latency (the lockstep degenerate case).
-fn bind_accel<S: StreamServing>(
-    driver: &mut EventDriver<S>,
-    key: usize,
-    model: &SplitBeamModel,
-    accel: Option<&AcceleratorModel>,
-) {
-    match accel {
-        Some(accel) => {
-            let latency = accel.split_latency_from_config(model.config());
-            driver.bind_model_latency(key, latency.head_s, latency.tail_s);
-        }
-        None => driver.bind_model_latency(key, 0.0, 0.0),
-    }
-}
-
-/// Builds an event driver over a single-shard [`ApServer`] with `model`
-/// registered, stations `0..stations` associated at `bits_per_value` bits,
-/// and the model's compute latency drawn from `accel` (zero when `None`).
+/// Builds an event driver over an [`ApServer`] with `num_shards` session
+/// shards, `model` registered, stations `0..stations` associated at
+/// `bits_per_value` bits, and the model's compute latency drawn from `accel`
+/// (zero when `None` — the lockstep degenerate case). The event clock is
+/// global; the round close fans out per shard.
 ///
 /// # Panics
 /// Panics on invalid `bits_per_value` (registration is infallible otherwise).
@@ -693,38 +677,18 @@ pub fn build_event_driver(
     model: SplitBeamModel,
     stations: usize,
     bits_per_value: u8,
-    cfg: EventConfig,
-    accel: Option<&AcceleratorModel>,
-) -> EventDriver<ApServer> {
-    let mut server = ApServer::new();
-    let key = server.register_model(model.clone());
-    let mut driver = EventDriver::over(server, cfg);
-    bind_accel(&mut driver, key, &model, accel);
-    for id in 0..stations as StationId {
-        driver
-            .register_station(id, key, bits_per_value)
-            .expect("fresh server accepts fleet registration");
-    }
-    driver
-}
-
-/// Builds an event driver over a [`ShardedApServer`] with `num_shards`
-/// shards — the event clock is global, the round close fans out per shard.
-///
-/// # Panics
-/// Panics on invalid `bits_per_value` (registration is infallible otherwise).
-pub fn build_sharded_event_driver(
-    model: SplitBeamModel,
-    stations: usize,
-    bits_per_value: u8,
     num_shards: usize,
     cfg: EventConfig,
     accel: Option<&AcceleratorModel>,
-) -> EventDriver<ShardedApServer> {
-    let mut server = ShardedApServer::new(num_shards);
+) -> EventDriver<ApServer> {
+    let mut server = ApServer::with_shards(num_shards);
     let key = server.register_model(model.clone());
     let mut driver = EventDriver::over(server, cfg);
-    bind_accel(&mut driver, key, &model, accel);
+    let (head_s, tail_s) = accel.map_or((0.0, 0.0), |accel| {
+        let latency = accel.split_latency_from_config(model.config());
+        (latency.head_s, latency.tail_s)
+    });
+    driver.bind_model_latency(key, head_s, tail_s);
     for id in 0..stations as StationId {
         driver
             .register_station(id, key, bits_per_value)
@@ -766,11 +730,12 @@ mod tests {
         };
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let traffic = generate_traffic(&cfg, &m, &mut rng);
-        let mut legacy = build_server(m.clone(), cfg.stations, cfg.bits_per_value);
+        let mut legacy = build_server(m.clone(), cfg.stations, cfg.bits_per_value, 1);
         let mut event = build_event_driver(
             m,
             cfg.stations,
             cfg.bits_per_value,
+            1,
             EventConfig::lockstep(),
             None,
         );
@@ -806,6 +771,7 @@ mod tests {
             m,
             cfg.stations,
             cfg.bits_per_value,
+            1,
             EventConfig {
                 feedback_rate_mbps: Some(24.0),
                 ..EventConfig::lockstep()
@@ -847,8 +813,14 @@ mod tests {
         };
         let accel = AcceleratorModel::zynq_200mhz(2, 2);
         let run = |m: SplitBeamModel| {
-            let mut d =
-                build_event_driver(m, cfg.stations, cfg.bits_per_value, event_cfg, Some(&accel));
+            let mut d = build_event_driver(
+                m,
+                cfg.stations,
+                cfg.bits_per_value,
+                1,
+                event_cfg,
+                Some(&accel),
+            );
             let outcome = serve_traffic(&mut d, &traffic, ServeMode::Batched).unwrap();
             (outcome, d.virtual_now_ns(), d.medium().total_wait_ns())
         };
@@ -880,7 +852,7 @@ mod tests {
             retry_backoff_ns: 50_000,
             ..EventConfig::lockstep()
         };
-        let mut event = build_event_driver(m, cfg.stations, cfg.bits_per_value, event_cfg, None);
+        let mut event = build_event_driver(m, cfg.stations, cfg.bits_per_value, 1, event_cfg, None);
         let outcome = serve_traffic(&mut event, &traffic, ServeMode::Batched).unwrap();
 
         let stats = event.fault_stats();
@@ -904,8 +876,14 @@ mod tests {
             outcome.total_served()
         );
         // Same seed, same fault plan: the run replays bit-exactly.
-        let mut replay =
-            build_event_driver(model(9), cfg.stations, cfg.bits_per_value, event_cfg, None);
+        let mut replay = build_event_driver(
+            model(9),
+            cfg.stations,
+            cfg.bits_per_value,
+            1,
+            event_cfg,
+            None,
+        );
         let again = serve_traffic(&mut replay, &traffic, ServeMode::Batched).unwrap();
         assert_eq!(again, outcome, "fault plans must be replayable");
         assert_eq!(replay.fault_stats(), stats);
@@ -937,7 +915,7 @@ mod tests {
             retry_backoff_ns: s_to_ns(0.05),
             ..EventConfig::lockstep()
         };
-        let mut event = build_event_driver(m, cfg.stations, cfg.bits_per_value, event_cfg, None);
+        let mut event = build_event_driver(m, cfg.stations, cfg.bits_per_value, 1, event_cfg, None);
         let outcome = serve_traffic(&mut event, &traffic, ServeMode::Batched).unwrap();
         assert_eq!(
             outcome.total_served(),
@@ -969,6 +947,7 @@ mod tests {
             m,
             cfg.stations,
             cfg.bits_per_value,
+            1,
             EventConfig::lockstep(),
             None,
         );

@@ -23,7 +23,7 @@
 //! per-channel media updated in drain order — the same seed and call
 //! sequence reproduces every summary bit-for-bit.
 
-use crate::server::{ApServer, RoundSummary};
+use crate::server::{ApServer, RoundSummary, ServeMode};
 use crate::session::StationId;
 use crate::timing::{DeadlinePolicy, FrameStamp};
 use crate::ServeError;
@@ -328,11 +328,7 @@ impl Fleet {
         let closed_round = self.round;
         let mut per_ap = Vec::with_capacity(self.aps.len());
         for ap in &mut self.aps {
-            let summary = match self.cfg.policy {
-                Some(policy) => ap.process_round_deadline(policy)?,
-                None => ap.process_round()?,
-            };
-            per_ap.push(summary);
+            per_ap.push(ap.close(ServeMode::Batched, self.cfg.policy)?);
         }
         self.round += 1;
         self.now_ns += self.cfg.round_ns;

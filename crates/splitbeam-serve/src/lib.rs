@@ -7,20 +7,20 @@
 //!
 //! * [`session`] — per-station state: model binding, quantizer width, the last
 //!   reconstructed `V̂` and its age in sounding rounds,
-//! * [`server`] — the [`ApServer`]: ingests bit-packed wire frames
-//!   ([`splitbeam::wire`]), coalesces everything pending into one batched tail
-//!   inference per model at round boundaries (bit-exact with serving each
-//!   station alone), and groups fresh stations into `Nt`-sized MU-MIMO groups
-//!   for the zero-forcing precoder,
-//! * [`shard`] — the [`ShardedApServer`]: partitions sessions across `N`
-//!   shards (deterministic `id % N` mapping), closes every shard's round in
-//!   parallel — bit-exact with the single-shard batched path and the serial
-//!   reference — and owns session lifecycle: capacity caps, idle eviction and
-//!   clean re-registration,
+//! * [`server`] — the [`ApServer`]: partitions sessions across `N` shards
+//!   (deterministic `id % N` mapping; one by default, more with
+//!   [`ApServer::with_shards`]), ingests bit-packed wire frames
+//!   ([`splitbeam::wire`]), and closes every round through one
+//!   [`ApServer::close`]`(mode, policy)` — coalescing everything pending into
+//!   one batched tail inference per model and shard, shards in parallel,
+//!   bit-exact with serving each station alone at every shard count. It owns
+//!   session lifecycle (capacity caps, idle eviction, clean re-registration)
+//!   and groups fresh stations into `Nt`-sized MU-MIMO groups for the
+//!   zero-forcing precoder,
 //! * [`driver`] — a simulated multi-station sounding-round driver: station-side
 //!   compress → quantize → wire-encode traffic generation (including session
 //!   churn: joins, departures, bursty drops), AP-side serving in batched,
-//!   station-at-a-time or sharded mode, and the end-to-end
+//!   station-at-a-time or streaming mode at any shard count, and the end-to-end
 //!   `simulate_mu_mimo_ber` link check over the served feedback,
 //! * [`timing`] — virtual-time frame stamps ([`FrameStamp`]) and the Eq. 7d
 //!   [`DeadlinePolicy`] the deadline-aware round closer enforces: every
@@ -32,14 +32,14 @@
 //!   jitter and shared-medium contention, with the lockstep drivers
 //!   recoverable bit-exactly as the zero-delay degenerate case.
 //!
-//! # Example: serve two stations for one round
+//! # Example: serve two stations on a two-shard AP for one round
 //!
 //! ```
 //! use rand::SeedableRng;
 //! use rand_chacha::ChaCha8Rng;
 //! use splitbeam::config::{CompressionLevel, SplitBeamConfig};
 //! use splitbeam::model::SplitBeamModel;
-//! use splitbeam_serve::server::ApServer;
+//! use splitbeam_serve::server::{ApServer, ServeMode};
 //! use wifi_phy::channel::{ChannelModel, EnvironmentProfile};
 //! use wifi_phy::ofdm::{Bandwidth, MimoConfig};
 //!
@@ -51,7 +51,8 @@
 //! let model = SplitBeamModel::new(config, &mut rng);
 //! let channel = ChannelModel::new(EnvironmentProfile::e1(), Bandwidth::Mhz20, 2, 1, 1);
 //!
-//! let mut server = ApServer::new();
+//! // Stations 0 and 1 land on different shards (`id % 2`).
+//! let mut server = ApServer::with_shards(2);
 //! let key = server.register_model(model.clone());
 //! for id in 0..2u64 {
 //!     server.register_station(id, key, 4).unwrap();
@@ -65,7 +66,7 @@
 //!     let frame = splitbeam::wire::encode_feedback(&payload).unwrap();
 //!     server.ingest_wire(id, &frame).unwrap();
 //! }
-//! let summary = server.process_round().unwrap();
+//! let summary = server.close(ServeMode::Batched, None).unwrap();
 //! assert_eq!(summary.served, 2);
 //! // Flat real-interleaved V̂ per station; matrices materialize per group.
 //! assert_eq!(server.feedback_of(0).unwrap().len(), 224);
@@ -80,7 +81,7 @@ pub mod fleet;
 pub mod ring;
 pub mod server;
 pub mod session;
-pub mod shard;
+mod shard;
 pub mod slab;
 pub mod timing;
 
@@ -88,9 +89,9 @@ pub use driver::StreamServing;
 pub use event::{build_event_driver, EventConfig, EventDriver};
 pub use fleet::{Fleet, FleetConfig, FleetRoundSummary, FleetStats};
 pub use ring::Ring;
-pub use server::{ApServer, HealthPolicy, RoundSummary};
+pub use server::{ApServer, HealthPolicy, RoundSummary, ServeMode, ShardRoundStats};
 pub use session::{SessionHealth, StationId, StationSession};
-pub use shard::{env_shards, ShardRoundStats, ShardedApServer, ShardedRoundSummary};
+pub use shard::{ShardedApServer, ShardedRoundSummary};
 pub use slab::{SessionHandle, SessionSlab};
 pub use timing::{DeadlinePolicy, FrameClass, FrameStamp, RoundDelayStats};
 

@@ -1,4 +1,27 @@
 //! The sessionized AP feedback server.
+//!
+//! [`ApServer`] partitions station sessions across `N` independent shards
+//! (deterministic `id % N` mapping; one shard by default) and closes each
+//! sounding round through a single [`ApServer::close`]: every shard runs the
+//! *very same* per-shard round close over its own session map and round
+//! arena, in parallel when there is more than one, and the per-shard outcomes
+//! merge deterministically in shard order. Because the fused batched tail
+//! kernel's per-element accumulation is independent of batch shape (see
+//! [`splitbeam::fused`]), splitting a model's stations across shards changes
+//! batch boundaries but not a single output bit: every shard count is
+//! bit-exact with the station-at-a-time serial reference, under every kernel
+//! backend.
+//!
+//! The server also owns **session lifecycle**:
+//!
+//! * *capacity caps* — [`ApServer::set_capacity`] bounds the station count;
+//!   registrations beyond it are rejected with
+//!   [`ServeError::CapacityExceeded`],
+//! * *idle eviction* — [`ApServer::set_max_idle_rounds`] drops stations that
+//!   produced no feedback for more than the configured number of rounds
+//!   (never-reporting stations are measured from association),
+//! * *clean re-registration* — a deregistered or evicted id can associate
+//!   again and starts from a blank session.
 
 use crate::ring::Ring;
 use crate::session::{SessionHealth, StationId, StationSession};
@@ -7,6 +30,7 @@ use crate::timing::{DeadlinePolicy, FrameClass, FrameStamp, RoundDelayStats};
 use crate::ServeError;
 use mimo_math::kernel::Kernel;
 use mimo_math::Int8Kernel;
+use rayon::prelude::*;
 use splitbeam::fused::{QuantizedTail, TailScratch, TailWeights};
 use splitbeam::model::SplitBeamModel;
 use splitbeam::quantization::QuantizedFeedback;
@@ -14,7 +38,7 @@ use splitbeam::wire;
 use std::sync::Arc;
 use wifi_phy::precoding::BeamformingFeedback;
 
-/// What one call to [`ApServer::process_round`] did.
+/// What one call to [`ApServer::close`] did, merged across shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoundSummary {
     /// Index of the round that was just closed.
@@ -86,26 +110,60 @@ impl Default for HealthPolicy {
     }
 }
 
-/// The AP-side serving state: model registry, per-station sessions (each
-/// holding its pending payload slot for the round being collected), and the
-/// per-round scratch arena.
+/// How [`ApServer::close`] closes a round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ServeMode {
+    /// Coalesced: one batched tail inference per model per round (parallel
+    /// across shards).
+    Batched,
+    /// Reference: one tail inference per station (sequential across shards).
+    Serial,
+    /// Streaming: no round barrier — frames queue on per-shard rings and
+    /// shards micro-close on deadline watermarks; the round close only
+    /// flushes what watermarks have not already served. With no intermediate
+    /// watermark fired this degenerates bit-exactly to [`ServeMode::Batched`].
+    Streaming,
+}
+
+/// Per-shard slice of the last round close, recorded in shard order. This is
+/// how stall-isolation is observed: a deliberately slow shard shows up here
+/// with depressed `on_time` while every other shard's numbers are untouched
+/// under streaming closes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ShardRoundStats {
+    /// Stations this shard served.
+    pub served: usize,
+    /// Served reports within the Eq. 7d budget.
+    pub on_time: usize,
+    /// Served reports past budget but within grace.
+    pub late: usize,
+    /// Reports consumed unreconstructed past budget and grace.
+    pub expired: usize,
+    /// Batched tail invocations this shard ran.
+    pub batches: usize,
+    /// Watermark-triggered micro-batch closes (0 for barrier rounds).
+    pub micro_closes: usize,
+    /// Whether the shard had traffic this round: it ran a batch or expired a
+    /// report.
+    pub had_traffic: bool,
+}
+
+/// The AP-side serving state: model registry, `N` session shards (each
+/// holding its stations' pending payload slots for the round being collected
+/// and its own round arena), and the session-lifecycle policy.
 ///
 /// Ingest and reconstruction are decoupled: [`ApServer::ingest_wire`] decodes
-/// and validates frames as they arrive, [`ApServer::process_round`] coalesces
+/// and validates frames as they arrive, [`ApServer::close`] coalesces
 /// everything pending into one **fused dequantize→tail** batched inference per
-/// model — bit-exact with [`ApServer::process_round_serial`], which
-/// reconstructs station by station through the unfused single-payload path and
-/// exists as the reference (and comparison baseline).
+/// model and shard — bit-exact with [`ServeMode::Serial`], which reconstructs
+/// station by station through the unfused single-payload path and exists as
+/// the reference (and comparison baseline).
 ///
 /// All per-round storage (wire decode buffer, batch id list, fused tail
 /// scratch, per-station payload and feedback buffers) is recycled, so a full
 /// steady-state ingest→decode→batched-reconstruct round performs no heap
 /// allocation once every buffer has reached its high-water capacity.
-///
-/// `ApServer` is the single-shard building block; the multi-core serving
-/// layer ([`crate::shard::ShardedApServer`]) runs the very same per-shard
-/// round-close code over many independent session partitions.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ApServer {
     models: Vec<Arc<SplitBeamModel>>,
     /// Int8 tails bound from the registered models (same indices as
@@ -115,20 +173,23 @@ pub struct ApServer {
     /// Which weight format round closes reconstruct with. The f32 default is
     /// bit-exact with the pre-quantization serving path.
     tail_weights: TailWeights,
-    core: ShardCore,
+    shards: Vec<ShardCore>,
     round: u64,
-    /// When set, wire ingest routes through the shard's streaming ring and
+    /// When set, wire ingest routes through each shard's streaming ring and
     /// rounds close via watermark-driven micro-batches.
     streaming: bool,
-    /// Micro-closes of the last streaming round (0 for barrier rounds).
-    /// Observability only: deliberately not part of [`RoundSummary`], so the
-    /// degenerate streaming round stays bit-identical to the barrier close.
-    last_micro_closes: usize,
+    max_idle_rounds: Option<u64>,
+    capacity: Option<usize>,
+    last_evicted: usize,
+    /// Per-shard stats of the last round close, in shard order. Observability
+    /// only: deliberately not part of [`RoundSummary`], so the degenerate
+    /// streaming round stays bit-identical to the barrier close.
+    last_shard_stats: Vec<ShardRoundStats>,
 }
 
 /// Reusable per-round scratch owned by one shard.
 #[derive(Debug, Clone)]
-pub(crate) struct RoundArena {
+struct RoundArena {
     /// Wire frames decode into this buffer before validation; on successful
     /// ingest it is swapped with the station's payload slot, so the two
     /// buffers circulate without reallocating.
@@ -156,46 +217,16 @@ impl Default for RoundArena {
 }
 
 /// Default capacity of a shard's streaming ingest ring.
-pub(crate) const DEFAULT_STREAM_CAPACITY: usize = 256;
+const DEFAULT_STREAM_CAPACITY: usize = 256;
 
 /// One decoded frame queued in a shard's streaming ring, awaiting its
 /// watermark commit.
 #[derive(Debug)]
-pub(crate) struct StreamFrame {
-    pub(crate) id: StationId,
-    pub(crate) payload: QuantizedFeedback,
-    pub(crate) stamp: FrameStamp,
-    pub(crate) seq: u16,
-}
-
-/// Counters accumulated across a round's micro-batch closes, folded into the
-/// round outcome at finalize. Health/staleness accounting deliberately does
-/// NOT live here — it runs exactly once per round, at finalize, so streaming
-/// never emits phantom `awaiting_first_report`/`stale` counts per micro-batch.
-#[derive(Debug, Default)]
-pub(crate) struct MicroAccum {
-    served: usize,
-    batches: usize,
-    micro_closes: usize,
-    on_time: usize,
-    late: usize,
-    expired: usize,
-    delay: RoundDelayStats,
-    error: Option<ServeError>,
-}
-
-impl MicroAccum {
-    fn fold(&mut self, pass: ServePass) {
-        self.served += pass.served;
-        self.batches += pass.batches;
-        self.on_time += pass.on_time;
-        self.late += pass.late;
-        self.expired += pass.expired;
-        self.delay.merge(&pass.delay);
-        if self.error.is_none() {
-            self.error = pass.error;
-        }
-    }
+struct StreamFrame {
+    id: StationId,
+    payload: QuantizedFeedback,
+    stamp: FrameStamp,
+    seq: u16,
 }
 
 /// One shard's streaming state: the bounded lock-free ingest ring, a
@@ -203,13 +234,19 @@ impl MicroAccum {
 /// payload buffers (steady-state streaming ingest allocates nothing), and
 /// the micro-batch accumulator.
 #[derive(Debug)]
-pub(crate) struct StreamLane {
+struct StreamLane {
     ring: Ring<StreamFrame>,
     /// The first not-yet-due frame popped by a commit pass; commits are
     /// FIFO head-gated, so nothing behind it commits either.
     stash: Option<StreamFrame>,
     free: Vec<QuantizedFeedback>,
-    acc: MicroAccum,
+    /// Counters of the round's micro-batch closes, folded into the round
+    /// outcome at the close. Health/staleness accounting deliberately does
+    /// NOT live here — it runs exactly once per round, at the close, so
+    /// streaming never emits phantom `awaiting_first_report`/`stale` counts
+    /// per micro-batch.
+    acc: ServePass,
+    micro_closes: usize,
 }
 
 impl StreamLane {
@@ -218,12 +255,9 @@ impl StreamLane {
             ring: Ring::with_capacity(capacity),
             stash: None,
             free: Vec::new(),
-            acc: MicroAccum::default(),
+            acc: ServePass::default(),
+            micro_closes: 0,
         }
-    }
-
-    fn queued(&self) -> usize {
-        self.ring.len() + usize::from(self.stash.is_some())
     }
 }
 
@@ -249,18 +283,18 @@ impl Clone for StreamLane {
 /// close and shared (it is `Copy`) by every shard, so the batched, serial,
 /// and streaming micro-batch paths all dispatch identically.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct TailEngine<'a> {
-    pub(crate) models: &'a [Arc<SplitBeamModel>],
-    pub(crate) tails: &'a [Arc<QuantizedTail>],
-    pub(crate) mode: TailWeights,
-    pub(crate) kern: Kernel,
-    pub(crate) ik: Int8Kernel,
+struct TailEngine<'a> {
+    models: &'a [Arc<SplitBeamModel>],
+    tails: &'a [Arc<QuantizedTail>],
+    mode: TailWeights,
+    kern: Kernel,
+    ik: Int8Kernel,
 }
 
 impl<'a> TailEngine<'a> {
     /// Bundles the registries with the kernels currently selected for the f32
     /// and int8 tiers (`SPLITBEAM_KERNEL` / [`mimo_math::kernel::set_kernel`]).
-    pub(crate) fn new(
+    fn new(
         models: &'a [Arc<SplitBeamModel>],
         tails: &'a [Arc<QuantizedTail>],
         mode: TailWeights,
@@ -276,54 +310,48 @@ impl<'a> TailEngine<'a> {
 }
 
 /// One shard's worth of serving state: a session partition plus its private
-/// round arena. [`ApServer`] owns exactly one; `ShardedApServer` owns `N` and
-/// closes them in parallel. Every round-close code path lives here, so the
-/// single-shard and sharded servers are bit-exact by construction.
+/// round arena. [`ApServer`] owns `N` and closes them in parallel. Every
+/// round-close code path lives here, so every shard count is bit-exact by
+/// construction.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct ShardCore {
-    pub(crate) sessions: SessionSlab,
-    pub(crate) arena: RoundArena,
+struct ShardCore {
+    sessions: SessionSlab,
+    arena: RoundArena,
     /// Health thresholds applied to every session of this shard.
-    pub(crate) health: HealthPolicy,
+    health: HealthPolicy,
     /// Corrupt frames seen since the last round close (reported in the next
     /// round's summary, then reset).
-    pub(crate) round_corrupt: usize,
+    round_corrupt: usize,
     /// Streaming micro-batch state (ring, stash, freelist, accumulator).
-    pub(crate) lane: StreamLane,
+    lane: StreamLane,
     /// Artificial close lag injected into this shard's serving path (bench
     /// stall model). Barrier closes pay the *maximum* stall across shards —
     /// the whole round waits on the slowest shard — while streaming closes
     /// pay only the shard's own stall.
-    pub(crate) stall_ns: u64,
+    stall_ns: u64,
 }
 
-/// What closing one round over one shard did. `error` carries the first
-/// failure (in model-key order) while the counters describe everything that
-/// still happened — a failed batch never blocks the other models' batches.
-#[derive(Debug)]
-pub(crate) struct RoundOutcome {
-    pub(crate) served: usize,
-    pub(crate) stale: usize,
-    pub(crate) awaiting_first_report: usize,
-    pub(crate) batches: usize,
-    pub(crate) on_time: usize,
-    pub(crate) late: usize,
-    pub(crate) expired: usize,
-    pub(crate) delay: RoundDelayStats,
-    pub(crate) corrupt: usize,
-    pub(crate) stale_served: usize,
+/// What closing one round over one shard did (or, merged in shard order,
+/// every shard). `pass.error` carries the first failure (in model-key, then
+/// shard order) while the counters describe everything that still happened —
+/// a failed batch never blocks the other models' batches.
+#[derive(Debug, Default)]
+struct RoundOutcome {
+    pass: ServePass,
+    stale: usize,
+    awaiting_first_report: usize,
+    corrupt: usize,
+    stale_served: usize,
     /// Watermark-triggered micro-batch closes that fired during the round
-    /// (streaming only; `0` for barrier closes). Not part of the public
-    /// summary — the bit-exactness anchor compares summaries across modes.
-    pub(crate) micro_closes: usize,
-    pub(crate) error: Option<ServeError>,
+    /// (streaming only; `0` for barrier closes).
+    micro_closes: usize,
 }
 
 /// What one serving pass (a barrier close's serve step, or one streaming
 /// micro-batch close) did. Health/staleness accounting is *not* here — it
-/// belongs to the once-per-round finalize.
+/// belongs to the once-per-round close.
 #[derive(Debug, Default)]
-pub(crate) struct ServePass {
+struct ServePass {
     served: usize,
     batches: usize,
     on_time: usize,
@@ -333,23 +361,63 @@ pub(crate) struct ServePass {
     error: Option<ServeError>,
 }
 
+impl ServePass {
+    /// Adds `other`'s counters; the first error wins.
+    fn fold(&mut self, other: ServePass) {
+        self.served += other.served;
+        self.batches += other.batches;
+        self.on_time += other.on_time;
+        self.late += other.late;
+        self.expired += other.expired;
+        self.delay.merge(&other.delay);
+        if self.error.is_none() {
+            self.error = other.error;
+        }
+    }
+}
+
 impl RoundOutcome {
+    /// Adds another shard's outcome (`RoundDelayStats::merge` is sums and a
+    /// max, so folding one outcome into the default reproduces it exactly).
+    fn fold(&mut self, other: RoundOutcome) {
+        self.pass.fold(other.pass);
+        self.stale += other.stale;
+        self.awaiting_first_report += other.awaiting_first_report;
+        self.corrupt += other.corrupt;
+        self.stale_served += other.stale_served;
+        self.micro_closes += other.micro_closes;
+    }
+
+    fn stats(&self) -> ShardRoundStats {
+        let p = &self.pass;
+        ShardRoundStats {
+            served: p.served,
+            on_time: p.on_time,
+            late: p.late,
+            expired: p.expired,
+            batches: p.batches,
+            micro_closes: self.micro_closes,
+            had_traffic: p.batches > 0 || p.expired > 0,
+        }
+    }
+
     /// Converts the outcome into the public summary, surfacing the first
     /// error when one occurred (the partial round state is already applied).
-    pub(crate) fn into_summary(self, round: u64) -> Result<RoundSummary, ServeError> {
-        if let Some(e) = self.error {
+    fn into_summary(self, round: u64) -> Result<RoundSummary, ServeError> {
+        let p = self.pass;
+        if let Some(e) = p.error {
             return Err(e);
         }
         Ok(RoundSummary {
             round,
-            served: self.served,
+            served: p.served,
             stale: self.stale,
             awaiting_first_report: self.awaiting_first_report,
-            batches: self.batches,
-            on_time: self.on_time,
-            late: self.late,
-            expired: self.expired,
-            delay: self.delay,
+            batches: p.batches,
+            on_time: p.on_time,
+            late: p.late,
+            expired: p.expired,
+            delay: p.delay,
             lost: 0,
             corrupt: self.corrupt,
             retransmitted: 0,
@@ -359,10 +427,10 @@ impl RoundOutcome {
 }
 
 impl ShardCore {
-    /// Registration validation, shared verbatim by the single-shard and
-    /// sharded servers so both report identical errors for identical bad
+    /// Registration validation, shared verbatim by fresh registration and
+    /// roaming adoption so both report identical errors for identical bad
     /// input (model key first, then bit width, then duplicate id).
-    pub(crate) fn validate_registration(
+    fn validate_registration(
         &self,
         num_models: usize,
         id: StationId,
@@ -383,90 +451,15 @@ impl ShardCore {
         Ok(())
     }
 
-    pub(crate) fn register_station(
-        &mut self,
-        num_models: usize,
-        id: StationId,
-        model_key: usize,
-        bits_per_value: u8,
-        round: u64,
-    ) -> Result<(), ServeError> {
-        self.validate_registration(num_models, id, model_key, bits_per_value)?;
-        self.sessions
-            .insert(StationSession::new(id, model_key, bits_per_value, round))
-            .map(|_| ())
-            .map_err(|rejected| ServeError::DuplicateStation(rejected.id()))
-    }
-
-    /// Adopts a roaming station's full session state (payloads, health,
-    /// staleness clocks) rebound to `model_key` on this server — the warm
-    /// half of a fleet handoff; registration validation still applies, minus
-    /// the fresh-join reset a cold re-register would perform.
-    /// On failure the untouched session rides back in the error, so the
-    /// caller can restore it at the source AP instead of dropping the
-    /// station.
-    // The fat Err is the point: the rejected session must ride back to the
-    // caller for restore, and boxing a cold failure path buys nothing.
-    #[allow(clippy::result_large_err)]
-    pub(crate) fn adopt_station(
-        &mut self,
-        num_models: usize,
-        mut session: StationSession,
-        model_key: usize,
-    ) -> Result<(), (StationSession, ServeError)> {
-        if let Err(e) = self.validate_registration(
-            num_models,
-            session.id(),
-            model_key,
-            session.bits_per_value(),
-        ) {
-            return Err((session, e));
-        }
-        session.rebind_model(model_key);
-        self.sessions
-            .insert(session)
-            .map(|_| ())
-            .map_err(|rejected| {
-                let id = rejected.id();
-                (rejected, ServeError::DuplicateStation(id))
-            })
-    }
-
-    /// Releases station `id` for a handoff, returning its full session
-    /// state. The inverse of [`ShardCore::adopt_station`].
-    pub(crate) fn release_station(&mut self, id: StationId) -> Result<StationSession, ServeError> {
-        self.sessions
-            .remove(id)
-            .ok_or(ServeError::UnknownStation(id))
-    }
-
-    pub(crate) fn deregister_station(&mut self, id: StationId) -> Result<(), ServeError> {
-        self.sessions
-            .remove(id)
-            .map(|_| ())
-            .ok_or(ServeError::UnknownStation(id))
-    }
-
-    pub(crate) fn ingest_wire(
-        &mut self,
-        models: &[Arc<SplitBeamModel>],
-        id: StationId,
-        frame: &[u8],
-        round: u64,
-    ) -> Result<usize, ServeError> {
-        self.ingest_wire_at(models, id, frame, FrameStamp::default(), round)
-    }
-
-    /// Timestamped wire ingest: like [`ShardCore::ingest_wire`] but records
-    /// the frame's virtual-time stamp so the deadline-aware round closer can
-    /// classify it against the Eq. 7d budget.
+    /// Timestamped wire ingest: records the frame's virtual-time stamp so the
+    /// deadline-aware round closer can classify it against the Eq. 7d budget.
     ///
     /// The fault-tolerant ingest order: session lookup, quarantine gate,
     /// CRC/decode (a [`ServeError::Corrupt`] rejection feeds the session's
     /// corrupt streak and can trigger quarantine), duplicate-sequence
     /// suppression, then payload validation and commit. A failed ingest of
     /// any kind leaves a previously pending payload untouched.
-    pub(crate) fn ingest_wire_at(
+    fn ingest_wire_at(
         &mut self,
         models: &[Arc<SplitBeamModel>],
         id: StationId,
@@ -509,7 +502,7 @@ impl ShardCore {
         Ok(frame.len())
     }
 
-    pub(crate) fn ingest_payload(
+    fn ingest_payload(
         &mut self,
         models: &[Arc<SplitBeamModel>],
         id: StationId,
@@ -559,7 +552,7 @@ impl ShardCore {
         Ok(())
     }
 
-    pub(crate) fn pending_count(&self) -> usize {
+    fn pending_count(&self) -> usize {
         // Order-free count: the dense slot walk, not the id-ordered view.
         self.sessions
             .values_unordered()
@@ -649,8 +642,15 @@ impl ShardCore {
         session.set_pending_stamp(FrameStamp::default());
     }
 
-    /// Closes round `round` over this shard with one fused dequantize→tail
-    /// batched inference per model. With a [`DeadlinePolicy`], pending
+    /// Closes round `round` over this shard in `mode`, then runs the
+    /// once-per-round health/staleness pass and harvests the corrupt counter.
+    /// [`ServeMode::Batched`] runs one fused dequantize→tail batched inference
+    /// per model; [`ServeMode::Serial`] reconstructs station by station;
+    /// [`ServeMode::Streaming`] commits everything still queued, serves any
+    /// remaining pending batch with the shard's **own** stall as close lag,
+    /// and folds in the micro-batches its watermarks already closed — with no
+    /// intermediate watermark fired it equals the batched close. Barrier
+    /// closes pay `barrier_lag_ns`. With a [`DeadlinePolicy`], pending
     /// reports are classified first: expired ones are consumed without
     /// reconstruction, late-but-usable ones are served but flagged.
     ///
@@ -659,22 +659,47 @@ impl ShardCore {
     /// batch still runs and stores its reconstructions, and the first error
     /// (in model-key order) is reported in the outcome. Stations of healthy
     /// models are never penalized for an unrelated model's failure.
-    pub(crate) fn close_round_batched(
+    fn close(
         &mut self,
         engine: &TailEngine<'_>,
+        mode: ServeMode,
         round: u64,
         policy: Option<DeadlinePolicy>,
-        lag_ns: u64,
+        barrier_lag_ns: u64,
     ) -> RoundOutcome {
-        let pass = self.serve_pending_batched(engine, round, policy, lag_ns);
-        self.finish_round(round, pass, 0)
+        let (pass, micro_closes) = match mode {
+            ServeMode::Batched => (
+                self.serve_pending_batched(engine, round, policy, barrier_lag_ns),
+                0,
+            ),
+            ServeMode::Serial => (
+                self.serve_pending_serial(engine, round, policy, barrier_lag_ns),
+                0,
+            ),
+            ServeMode::Streaming => {
+                self.commit_due(u64::MAX);
+                let tail = self.serve_pending_batched(engine, round, policy, self.stall_ns);
+                let mut acc = std::mem::take(&mut self.lane.acc);
+                acc.fold(tail);
+                (acc, std::mem::take(&mut self.lane.micro_closes))
+            }
+        };
+        let (stale, awaiting_first_report, stale_served) = self.health_pass(round);
+        RoundOutcome {
+            pass,
+            stale,
+            awaiting_first_report,
+            corrupt: std::mem::take(&mut self.round_corrupt),
+            stale_served,
+            micro_closes,
+        }
     }
 
     /// The serve step shared by the barrier close and streaming micro-batch
     /// closes: expires over-budget pending reports, then runs one fused
     /// dequantize→tail batched inference per model with pending traffic.
     /// Performs **no** health/staleness accounting — that happens once per
-    /// round, in [`ShardCore::finish_round`].
+    /// round, in [`ShardCore::close`].
     fn serve_pending_batched(
         &mut self,
         engine: &TailEngine<'_>,
@@ -767,48 +792,14 @@ impl ShardCore {
         }
     }
 
-    /// The once-per-round tail of every close path: health/staleness pass,
-    /// corrupt-counter harvest, and outcome assembly.
-    fn finish_round(&mut self, round: u64, pass: ServePass, micro_closes: usize) -> RoundOutcome {
-        let (stale, awaiting_first_report, stale_served) = self.health_pass(round);
-        RoundOutcome {
-            served: pass.served,
-            stale,
-            awaiting_first_report,
-            batches: pass.batches,
-            on_time: pass.on_time,
-            late: pass.late,
-            expired: pass.expired,
-            delay: pass.delay,
-            corrupt: std::mem::take(&mut self.round_corrupt),
-            stale_served,
-            micro_closes,
-            error: pass.error,
-        }
-    }
-
-    /// Closes round `round` reconstructing one station at a time through the
-    /// unfused path. Mirrors [`ShardCore::close_round_batched`]'s partial-round
+    /// Serial analog of [`ShardCore::serve_pending_batched`]: one unfused
+    /// reconstruction per station. Mirrors the batched partial-round
     /// semantics exactly, including on failure: each model's payloads are
     /// reconstructed first and committed only when the *whole* model
     /// succeeded — a failing payload consumes the failed model's pending
     /// payloads without storing any of them (just like the failed batch),
     /// stations bound to other models are served normally, and the first
-    /// error (in model-key order) is reported.
-    pub(crate) fn close_round_serial(
-        &mut self,
-        engine: &TailEngine<'_>,
-        round: u64,
-        policy: Option<DeadlinePolicy>,
-        lag_ns: u64,
-    ) -> RoundOutcome {
-        let pass = self.serve_pending_serial(engine, round, policy, lag_ns);
-        self.finish_round(round, pass, 0)
-    }
-
-    /// Serial analog of [`ShardCore::serve_pending_batched`]: one unfused
-    /// reconstruction per station, committed all-or-nothing per model. No
-    /// health accounting.
+    /// error (in model-key order) is reported. No health accounting.
     fn serve_pending_serial(
         &mut self,
         engine: &TailEngine<'_>,
@@ -904,7 +895,7 @@ impl ShardCore {
     /// number is suppressed while the station still has that frame in flight
     /// (queued on the ring) or pending (committed, not yet served) — the same
     /// frames that `ingest_wire_at` would reject are rejected here.
-    pub(crate) fn stream_ingest(
+    fn stream_ingest(
         &mut self,
         models: &[Arc<SplitBeamModel>],
         id: StationId,
@@ -1017,7 +1008,7 @@ impl ShardCore {
     /// falls before the *next* watermark — i.e. this is the last watermark at
     /// which that frame can still be served within budget. Each shard decides
     /// independently; no cross-shard barrier.
-    pub(crate) fn advance_watermark(
+    fn advance_watermark(
         &mut self,
         engine: &TailEngine<'_>,
         round: u64,
@@ -1037,77 +1028,75 @@ impl ShardCore {
             if deadline <= watermark_ns.saturating_add(step_ns) {
                 let pass = self.serve_pending_batched(engine, round, policy, self.stall_ns);
                 self.lane.acc.fold(pass);
-                self.lane.acc.micro_closes += 1;
+                self.lane.micro_closes += 1;
             }
         }
     }
+}
 
-    /// Streaming round close: commits everything still queued, serves any
-    /// remaining pending batch, folds in the round's accumulated micro-batch
-    /// summaries, and runs the once-per-round health pass. Equivalent to
-    /// [`ShardCore::close_round_batched`] when no intermediate watermark
-    /// fired (the whole round serves as one batch).
-    pub(crate) fn finalize_stream_round(
-        &mut self,
-        engine: &TailEngine<'_>,
-        round: u64,
-        policy: Option<DeadlinePolicy>,
-    ) -> RoundOutcome {
-        self.commit_due(u64::MAX);
-        let tail = self.serve_pending_batched(engine, round, policy, self.stall_ns);
-        let mut acc = std::mem::take(&mut self.lane.acc);
-        acc.fold(tail);
-        let micro_closes = acc.micro_closes;
-        let pass = ServePass {
-            served: acc.served,
-            batches: acc.batches,
-            on_time: acc.on_time,
-            late: acc.late,
-            expired: acc.expired,
-            delay: acc.delay,
-            error: acc.error,
-        };
-        self.finish_round(round, pass, micro_closes)
-    }
-
-    /// Whether this shard saw any traffic this round — streaming analog of
-    /// the barrier path's `pending_count() > 0` check, which must also count
-    /// frames already served by micro-closes and frames still queued on the
-    /// ring.
-    pub(crate) fn round_had_traffic(&self) -> bool {
-        self.pending_count() > 0
-            || self.lane.queued() > 0
-            || self.lane.acc.batches > 0
-            || self.lane.acc.served > 0
-            || self.lane.acc.expired > 0
-            || self.lane.acc.error.is_some()
-    }
-
-    /// Evicts every station idle for more than `max_idle_rounds` sounding
-    /// rounds at the just-closed round, returning how many were removed.
-    /// Never-reporting stations are measured from their association round.
-    pub(crate) fn evict_idle(&mut self, closed_round: u64, max_idle_rounds: u64) -> usize {
-        // The slab walks its idle-LRU list from the cold end and stops at
-        // the first survivor: O(evicted), not O(sessions).
-        self.sessions.evict_idle(closed_round, max_idle_rounds)
+impl Default for ApServer {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
 impl ApServer {
-    /// Creates an empty server. The tail weight format starts from the
-    /// `SPLITBEAM_TAIL_WEIGHTS` environment knob (`int8` opts into the
-    /// quantized tier, anything else serves f32).
+    /// Creates an empty single-shard server. The tail weight format starts
+    /// from the `SPLITBEAM_TAIL_WEIGHTS` environment knob (`int8` opts into
+    /// the quantized tier, anything else serves f32).
     pub fn new() -> Self {
+        Self::with_shards(1)
+    }
+
+    /// Creates an empty server with `num_shards` session shards (clamped to
+    /// at least one), closed in parallel.
+    pub fn with_shards(num_shards: usize) -> Self {
         Self {
+            models: Vec::new(),
+            tails: Vec::new(),
             tail_weights: TailWeights::from_env(),
-            ..Self::default()
+            shards: (0..num_shards.max(1))
+                .map(|_| ShardCore::default())
+                .collect(),
+            round: 0,
+            streaming: false,
+            max_idle_rounds: None,
+            capacity: None,
+            last_evicted: 0,
+            last_shard_stats: Vec::new(),
         }
     }
 
+    /// Number of session shards.
+    pub fn num_shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// The deterministic shard a station id maps to (`id % num_shards`).
+    pub fn shard_of(&self, id: StationId) -> usize {
+        (id % self.shards.len() as u64) as usize
+    }
+
+    /// Caps the number of simultaneously registered stations; `None` lifts
+    /// the cap. Registrations beyond the cap fail with
+    /// [`ServeError::CapacityExceeded`]; already-registered stations are
+    /// never dropped by lowering the cap.
+    pub fn set_capacity(&mut self, capacity: Option<usize>) {
+        self.capacity = capacity;
+    }
+
+    /// Enables idle eviction: after each round close, stations idle for more
+    /// than `max_idle_rounds` sounding rounds are removed. `None` (the
+    /// default) disables eviction.
+    pub fn set_max_idle_rounds(&mut self, max_idle_rounds: Option<u64>) {
+        self.max_idle_rounds = max_idle_rounds;
+    }
+
     /// Registers a tail model and returns its key. Stations referencing the
-    /// same key share the model (and one batched inference per round). The
-    /// model's int8 tail is quantized and packed here, once, so round closes
-    /// under [`TailWeights::Int8`] pay no bind cost.
+    /// same key share the model (and one batched inference per round and
+    /// shard). The model's int8 tail is quantized and packed here, once,
+    /// shared read-only by every shard, so round closes under
+    /// [`TailWeights::Int8`] pay no bind cost.
     pub fn register_model(&mut self, model: SplitBeamModel) -> usize {
         self.tails.push(Arc::new(QuantizedTail::bind(&model)));
         self.models.push(Arc::new(model));
@@ -1124,8 +1113,9 @@ impl ApServer {
         self.tail_weights
     }
 
-    /// Switches the tail weight format for subsequent round closes. Safe at
-    /// any round boundary — the int8 tails were bound at registration.
+    /// Switches the tail weight format for subsequent round closes (all
+    /// shards). Safe at any round boundary — the int8 tails were bound at
+    /// registration.
     pub fn set_tail_weights(&mut self, mode: TailWeights) {
         self.tail_weights = mode;
     }
@@ -1135,20 +1125,53 @@ impl ApServer {
         self.models.get(key).map(Arc::as_ref)
     }
 
-    /// Associates a station with a registered model and quantizer width.
+    /// Registration validation (model key, bit width, duplicate id — in that
+    /// order) followed by the capacity check; returns the station's shard.
+    fn admit(
+        &self,
+        id: StationId,
+        model_key: usize,
+        bits_per_value: u8,
+    ) -> Result<usize, ServeError> {
+        let shard = self.shard_of(id);
+        self.shards[shard].validate_registration(
+            self.models.len(),
+            id,
+            model_key,
+            bits_per_value,
+        )?;
+        match self.capacity {
+            Some(cap) if self.num_stations() >= cap => Err(ServeError::CapacityExceeded(id, cap)),
+            _ => Ok(shard),
+        }
+    }
+
+    /// Associates a station with a registered model and quantizer width,
+    /// placing its session on shard [`ApServer::shard_of`]`(id)`.
     ///
     /// # Errors
     /// [`ServeError::UnknownModel`] for an unregistered key,
-    /// [`ServeError::DuplicateStation`] when the id is already associated, and
-    /// [`ServeError::Codec`] for a bit width outside `1..=16`.
+    /// [`ServeError::DuplicateStation`] when the id is already associated,
+    /// [`ServeError::Codec`] for a bit width outside `1..=16`, and
+    /// [`ServeError::CapacityExceeded`] when the request is otherwise valid
+    /// but the server is at the configured cap.
     pub fn register_station(
         &mut self,
         id: StationId,
         model_key: usize,
         bits_per_value: u8,
     ) -> Result<(), ServeError> {
-        self.core
-            .register_station(self.models.len(), id, model_key, bits_per_value, self.round)
+        let shard = self.admit(id, model_key, bits_per_value)?;
+        self.shards[shard]
+            .sessions
+            .insert(StationSession::new(
+                id,
+                model_key,
+                bits_per_value,
+                self.round,
+            ))
+            .map(|_| ())
+            .map_err(|rejected| ServeError::DuplicateStation(rejected.id()))
     }
 
     /// Removes a station's session (disassociation). The id can be registered
@@ -1157,7 +1180,7 @@ impl ApServer {
     /// # Errors
     /// [`ServeError::UnknownStation`] when the id is not registered.
     pub fn deregister_station(&mut self, id: StationId) -> Result<(), ServeError> {
-        self.core.deregister_station(id)
+        self.release_station(id).map(|_| ())
     }
 
     /// Releases station `id` for a fleet handoff, returning its full session
@@ -1168,7 +1191,11 @@ impl ApServer {
     /// # Errors
     /// [`ServeError::UnknownStation`] when the id is not registered.
     pub fn release_station(&mut self, id: StationId) -> Result<StationSession, ServeError> {
-        self.core.release_station(id)
+        let shard = self.shard_of(id);
+        self.shards[shard]
+            .sessions
+            .remove(id)
+            .ok_or(ServeError::UnknownStation(id))
     }
 
     /// Adopts a roaming station's released session, rebound to this server's
@@ -1176,35 +1203,54 @@ impl ApServer {
     /// so the station keeps its feedback, pending payload and health state.
     ///
     /// # Errors
-    /// The same registration validations as
-    /// [`ApServer::register_station`] (model key, bit width, duplicate id);
-    /// the rejected session rides back in the error so the caller can
-    /// restore it at the source AP instead of dropping the station.
+    /// The same validations as [`ApServer::register_station`] (model key,
+    /// bit width, duplicate id, capacity); the rejected session rides back in
+    /// the error so the caller can restore it at the source AP instead of
+    /// dropping the station.
     // The fat Err is the point: the rejected session must ride back to the
     // caller for restore, and boxing a cold failure path buys nothing.
     #[allow(clippy::result_large_err)]
     pub fn adopt_station(
         &mut self,
-        session: StationSession,
+        mut session: StationSession,
         model_key: usize,
     ) -> Result<(), (StationSession, ServeError)> {
-        self.core
-            .adopt_station(self.models.len(), session, model_key)
+        let shard = match self.admit(session.id(), model_key, session.bits_per_value()) {
+            Ok(shard) => shard,
+            Err(e) => return Err((session, e)),
+        };
+        session.rebind_model(model_key);
+        self.shards[shard]
+            .sessions
+            .insert(session)
+            .map(|_| ())
+            .map_err(|rejected| {
+                let id = rejected.id();
+                (rejected, ServeError::DuplicateStation(id))
+            })
     }
 
-    /// Number of registered stations.
+    /// Number of registered stations across all shards.
     pub fn num_stations(&self) -> usize {
-        self.core.sessions.len()
+        self.shards.iter().map(|s| s.sessions.len()).sum()
     }
 
     /// The session of station `id`.
     pub fn session(&self, id: StationId) -> Option<&StationSession> {
-        self.core.sessions.get(id)
+        self.shards[self.shard_of(id)].sessions.get(id)
     }
 
-    /// Iterates over all sessions in station-id order.
+    /// Iterates over all sessions, shard by shard (station-id order within a
+    /// shard, so a single-shard server yields plain id order).
     pub fn sessions(&self) -> impl Iterator<Item = &StationSession> {
-        self.core.sessions.values()
+        self.shards.iter().flat_map(|s| s.sessions.values())
+    }
+
+    /// All registered station ids in ascending order (merged across shards).
+    pub fn station_ids(&self) -> Vec<StationId> {
+        let mut ids: Vec<StationId> = self.sessions().map(StationSession::id).collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// Index of the sounding round currently being collected.
@@ -1212,16 +1258,16 @@ impl ApServer {
         self.round
     }
 
-    /// Number of payloads waiting for the next `process_round`.
+    /// Number of payloads waiting for the next round close.
     pub fn pending_count(&self) -> usize {
-        self.core.pending_count()
+        self.shards.iter().map(ShardCore::pending_count).sum()
     }
 
     /// Ingests one bit-packed wire frame from station `id` for the current
     /// round, returning the decoded payload size in bytes. A station reporting
     /// twice in one round replaces its pending payload (last wins).
     ///
-    /// The frame decodes into the server's recycled decode buffer, which is
+    /// The frame decodes into its shard's recycled decode buffer, which is
     /// then swapped with the station's payload slot — steady-state ingest
     /// allocates nothing.
     ///
@@ -1235,23 +1281,13 @@ impl ApServer {
     /// does not match the station's model bottleneck. A failed ingest leaves
     /// any previously pending payload of the station untouched.
     pub fn ingest_wire(&mut self, id: StationId, frame: &[u8]) -> Result<usize, ServeError> {
-        if self.streaming {
-            return self.core.stream_ingest(
-                &self.models,
-                id,
-                frame,
-                FrameStamp::default(),
-                self.round,
-            );
-        }
-        self.core.ingest_wire(&self.models, id, frame, self.round)
+        self.ingest_wire_at(id, frame, FrameStamp::default())
     }
 
     /// Timestamped wire ingest: like [`ApServer::ingest_wire`], but records
     /// the frame's virtual-time [`FrameStamp`] (arrival plus per-leg delay
-    /// breakdown) on the session, so a subsequent
-    /// [`ApServer::process_round_deadline`] can classify the report against
-    /// the Eq. 7d budget.
+    /// breakdown) on the session, so a deadline-aware [`ApServer::close`]
+    /// can classify the report against the Eq. 7d budget.
     ///
     /// # Errors
     /// Same contract as [`ApServer::ingest_wire`].
@@ -1261,13 +1297,12 @@ impl ApServer {
         frame: &[u8],
         stamp: FrameStamp,
     ) -> Result<usize, ServeError> {
+        let shard = self.shard_of(id);
+        let shard = &mut self.shards[shard];
         if self.streaming {
-            return self
-                .core
-                .stream_ingest(&self.models, id, frame, stamp, self.round);
+            return shard.stream_ingest(&self.models, id, frame, stamp, self.round);
         }
-        self.core
-            .ingest_wire_at(&self.models, id, frame, stamp, self.round)
+        shard.ingest_wire_at(&self.models, id, frame, stamp, self.round)
     }
 
     /// Ingests an already-decoded payload (in-process stations, tests).
@@ -1280,112 +1315,121 @@ impl ApServer {
         payload: QuantizedFeedback,
         wire_bytes: usize,
     ) -> Result<usize, ServeError> {
-        self.core
-            .ingest_payload(&self.models, id, payload, wire_bytes, self.round)
+        let shard = self.shard_of(id);
+        self.shards[shard].ingest_payload(&self.models, id, payload, wire_bytes, self.round)
     }
 
     /// The health thresholds applied to every session.
     pub fn health_policy(&self) -> HealthPolicy {
-        self.core.health
+        self.shards[0].health
     }
 
-    /// Replaces the health thresholds (takes effect from the next ingest).
+    /// Replaces the health thresholds on every shard (takes effect from the
+    /// next ingest).
     pub fn set_health_policy(&mut self, policy: HealthPolicy) {
-        self.core.health = policy;
+        for shard in &mut self.shards {
+            shard.health = policy;
+        }
     }
 
-    /// Closes the current round: coalesces all pending payloads into **one
-    /// fused dequantize→tail batched inference per model**
-    /// ([`SplitBeamModel::reconstruct_quantized_batch_iter_into`]), stores
-    /// every reconstruction in its session, and advances the round counter.
-    /// All intermediate storage comes from the server's round arena.
+    /// Batched round close without a deadline policy:
+    /// `close(ServeMode::Batched, None)`.
+    ///
+    /// # Errors
+    /// Same contract as [`ApServer::close`].
+    pub fn process_round(&mut self) -> Result<RoundSummary, ServeError> {
+        self.close(ServeMode::Batched, None)
+    }
+
+    /// Station-at-a-time reference close without a deadline policy:
+    /// `close(ServeMode::Serial, None)`.
+    ///
+    /// # Errors
+    /// Same contract as [`ApServer::close`].
+    pub fn process_round_serial(&mut self) -> Result<RoundSummary, ServeError> {
+        self.close(ServeMode::Serial, None)
+    }
+
+    /// Closes the current round — the one close every serving path goes
+    /// through — and advances the round counter:
+    ///
+    /// * every shard closes in `mode` (see [`ServeMode`]): batched and
+    ///   streaming closes run the shards in parallel, serial closes run them
+    ///   one after another;
+    /// * with a `policy`, every pending report is classified against it by
+    ///   its ingest stamp's end-to-end delay — on-time (within the Eq. 7d
+    ///   budget, inclusive) and late-but-usable reports are reconstructed,
+    ///   expired reports are consumed **without** reconstruction. Untimed
+    ///   frames carry an all-zero stamp and always classify on-time;
+    /// * barrier closes (batched, serial) couple every shard to the slowest:
+    ///   each pays the maximum stall across shards as close lag, while
+    ///   streaming closes pay only their own shard's;
+    /// * idle stations are evicted when an idle budget is set;
+    /// * the per-shard outcomes merge deterministically in shard order, into
+    ///   the summary and [`ApServer::shard_round_stats`].
+    ///
+    /// Per-station results are bit-identical for every mode without a
+    /// watermark micro-close, every shard count and every kernel backend.
     ///
     /// # Errors
     /// [`ServeError::Model`] when a tail reconstruction fails. The round is
     /// **partial, not voided**: the failed batch's payloads are discarded,
-    /// but every other model's batch still ran and stored its
-    /// reconstructions, and the round counter advanced — the error reports
-    /// the first failed model's reconstruction failure.
-    pub fn process_round(&mut self) -> Result<RoundSummary, ServeError> {
-        let round = self.round;
-        self.round += 1;
-        let lag = self.core.stall_ns;
-        let engine = TailEngine::new(&self.models, &self.tails, self.tail_weights);
-        self.core
-            .close_round_batched(&engine, round, None, lag)
-            .into_summary(round)
-    }
-
-    /// Deadline-aware batched round close: every pending report is classified
-    /// against `policy` by its ingest stamp's end-to-end delay — on-time
-    /// (within the Eq. 7d budget, inclusive) and late-but-usable reports are
-    /// reconstructed in the same fused batch, expired reports are consumed
-    /// **without** reconstruction. Untimed frames carry an all-zero stamp and
-    /// always classify on-time, which is how the lockstep drivers remain the
-    /// degenerate case.
-    ///
-    /// # Errors
-    /// Same contract and partial-round semantics as
-    /// [`ApServer::process_round`].
-    pub fn process_round_deadline(
+    /// but every other model's batch (and every other shard) still ran and
+    /// stored its reconstructions, and the round counter advanced — the error
+    /// reports the first failure in shard order.
+    pub fn close(
         &mut self,
-        policy: DeadlinePolicy,
+        mode: ServeMode,
+        policy: Option<DeadlinePolicy>,
     ) -> Result<RoundSummary, ServeError> {
         let round = self.round;
         self.round += 1;
-        let lag = self.core.stall_ns;
         let engine = TailEngine::new(&self.models, &self.tails, self.tail_weights);
-        self.core
-            .close_round_batched(&engine, round, Some(policy), lag)
-            .into_summary(round)
+        let max_idle = self.max_idle_rounds;
+        let barrier_lag = self.shards.iter().map(|s| s.stall_ns).max().unwrap_or(0);
+        let close_shard = |shard: &mut ShardCore| {
+            let outcome = shard.close(&engine, mode, round, policy, barrier_lag);
+            let evicted = max_idle.map_or(0, |budget| shard.sessions.evict_idle(round, budget));
+            (outcome, evicted)
+        };
+        let mut merged = RoundOutcome::default();
+        let mut evicted = 0;
+        self.last_shard_stats.clear();
+        let mut fold = |(outcome, shard_evicted): (RoundOutcome, usize)| {
+            self.last_shard_stats.push(outcome.stats());
+            evicted += shard_evicted;
+            merged.fold(outcome);
+        };
+        // One shard (and the serial reference) folds in place; only a
+        // parallel close collects its per-shard outcomes first.
+        if self.shards.len() == 1 || mode == ServeMode::Serial {
+            self.shards.iter_mut().map(close_shard).for_each(&mut fold);
+        } else {
+            let outcomes: Vec<_> = self.shards.par_iter_mut().map(close_shard).collect();
+            outcomes.into_iter().for_each(&mut fold);
+        }
+        self.last_evicted = evicted;
+        merged.into_summary(round)
     }
 
-    /// Reference path: closes the round reconstructing **one station at a
-    /// time** through the unfused dequantize-then-tail path (no coalescing).
-    /// Produces bit-identical session state to [`ApServer::process_round`];
-    /// kept for verification and as the baseline the fused batched path is
-    /// benchmarked against.
-    ///
-    /// # Errors
-    /// [`ServeError::Model`] when a tail reconstruction fails; the same
-    /// partial-round semantics as [`ApServer::process_round`] apply (only the
-    /// failing model's payloads are consumed unreconstructed).
-    pub fn process_round_serial(&mut self) -> Result<RoundSummary, ServeError> {
-        let round = self.round;
-        self.round += 1;
-        let lag = self.core.stall_ns;
-        let engine = TailEngine::new(&self.models, &self.tails, self.tail_weights);
-        self.core
-            .close_round_serial(&engine, round, None, lag)
-            .into_summary(round)
+    /// Stations evicted by the most recent round close (`0` before the first
+    /// close, or when eviction is disabled).
+    pub fn evicted_in_last_round(&self) -> usize {
+        self.last_evicted
     }
 
-    /// Deadline-aware serial round close: the station-at-a-time reference for
-    /// [`ApServer::process_round_deadline`], with identical classification
-    /// semantics (expired reports consumed unreconstructed, late reports
-    /// served but flagged).
-    ///
-    /// # Errors
-    /// Same contract as [`ApServer::process_round_serial`].
-    pub fn process_round_serial_deadline(
-        &mut self,
-        policy: DeadlinePolicy,
-    ) -> Result<RoundSummary, ServeError> {
-        let round = self.round;
-        self.round += 1;
-        let lag = self.core.stall_ns;
-        let engine = TailEngine::new(&self.models, &self.tails, self.tail_weights);
-        self.core
-            .close_round_serial(&engine, round, Some(policy), lag)
-            .into_summary(round)
+    /// Per-shard stats of the most recent round close, in shard order (empty
+    /// before the first close).
+    pub fn shard_round_stats(&self) -> &[ShardRoundStats] {
+        &self.last_shard_stats
     }
 
-    /// Switches between lockstep and streaming ingest. In streaming mode,
-    /// [`ApServer::ingest_wire`]/[`ApServer::ingest_wire_at`] enqueue frames
-    /// onto the bounded per-server ring and commits happen on watermarks
-    /// ([`ApServer::advance_watermark`]); the round still closes through
-    /// [`ApServer::process_round_streaming`]. Only toggle while quiescent (no
-    /// frames queued or pending).
+    /// Switches between lockstep and streaming ingest across all shards. In
+    /// streaming mode, [`ApServer::ingest_wire`]/[`ApServer::ingest_wire_at`]
+    /// enqueue frames onto the bounded per-shard rings and commits happen on
+    /// watermarks ([`ApServer::advance_watermark`]); the round still closes
+    /// through [`ApServer::close`] with [`ServeMode::Streaming`]. Only toggle
+    /// while quiescent (no frames queued or pending).
     pub fn set_streaming(&mut self, on: bool) {
         self.streaming = on;
     }
@@ -1395,27 +1439,35 @@ impl ApServer {
         self.streaming
     }
 
-    /// Sets this server's artificial close lag (a stalled-shard model): every
-    /// close pays `ns` of additional queueing delay when classifying served
-    /// and expired reports. Identity at 0.
-    pub fn set_stall_ns(&mut self, ns: u64) {
-        self.core.stall_ns = ns;
+    /// Sets shard `shard`'s artificial close lag (stalled-shard model): its
+    /// reports pay `ns` of additional queueing delay when classified. Under
+    /// barrier closes **every** shard's reports pay the maximum stall (the
+    /// barrier waits for the slowest shard); under streaming closes each
+    /// shard pays only its own. Identity at 0.
+    ///
+    /// # Panics
+    /// When `shard` is out of range.
+    pub fn set_shard_stall_ns(&mut self, shard: usize, ns: u64) {
+        self.shards[shard].stall_ns = ns;
     }
 
-    /// Replaces the streaming ingest ring with one of `capacity` slots
-    /// (rounded up to a power of two, minimum 2). Only call while quiescent:
-    /// any queued frames are dropped.
+    /// Replaces every shard's streaming ingest ring with one of `capacity`
+    /// slots (rounded up to a power of two, minimum 2). Only call while
+    /// quiescent: any queued frames are dropped.
     pub fn set_stream_capacity(&mut self, capacity: usize) {
-        self.core.lane = StreamLane::with_capacity(capacity);
+        for shard in &mut self.shards {
+            shard.lane = StreamLane::with_capacity(capacity);
+        }
     }
 
     /// One watermark tick at virtual time `watermark_ns` with tick period
-    /// `step_ns`: commits every queued frame that has arrived by the
-    /// watermark, then micro-closes the pending batch iff the oldest pending
-    /// frame's Eq. 7d service deadline (per `policy`, default
-    /// [`DeadlinePolicy::eq7d`]) falls before the next watermark. Micro-batch
-    /// accounting accumulates into the round summary produced by
-    /// [`ApServer::process_round_streaming`].
+    /// `step_ns`: every shard commits its due frames and micro-closes its
+    /// pending batch iff its own oldest pending frame's Eq. 7d service
+    /// deadline (per `policy`, default [`DeadlinePolicy::eq7d`]) falls before
+    /// the next watermark — **independently of every other shard** (no
+    /// barrier). Shards advance serially in shard order, which keeps the
+    /// close deterministic. Micro-batch accounting accumulates into the next
+    /// streaming close's summary.
     pub fn advance_watermark(
         &mut self,
         watermark_ns: u64,
@@ -1424,47 +1476,15 @@ impl ApServer {
     ) {
         let round = self.round;
         let engine = TailEngine::new(&self.models, &self.tails, self.tail_weights);
-        self.core
-            .advance_watermark(&engine, round, watermark_ns, step_ns, policy);
-    }
-
-    /// Closes the current round in streaming mode: commits everything still
-    /// queued on the ring, serves any remaining pending batch, folds in the
-    /// micro-batches already closed by watermarks this round, runs the
-    /// once-per-round health pass and advances the round counter.
-    ///
-    /// With no intermediate watermark fired this is equivalent to
-    /// [`ApServer::process_round`] (everything serves as one batch), which is
-    /// how the lockstep drivers remain the bit-exact degenerate case.
-    ///
-    /// # Errors
-    /// Same contract and partial-round semantics as
-    /// [`ApServer::process_round`].
-    pub fn process_round_streaming(
-        &mut self,
-        policy: Option<DeadlinePolicy>,
-    ) -> Result<RoundSummary, ServeError> {
-        let round = self.round;
-        self.round += 1;
-        let engine = TailEngine::new(&self.models, &self.tails, self.tail_weights);
-        let outcome = self.core.finalize_stream_round(&engine, round, policy);
-        self.last_micro_closes = outcome.micro_closes;
-        outcome.into_summary(round)
-    }
-
-    /// How many watermark-triggered micro-batch closes the most recent
-    /// streaming round performed (barrier rounds leave it untouched).
-    pub fn last_micro_closes(&self) -> usize {
-        self.last_micro_closes
+        for shard in &mut self.shards {
+            shard.advance_watermark(&engine, round, watermark_ns, step_ns, policy);
+        }
     }
 
     /// The latest reconstructed feedback of station `id`, in the tail's flat
     /// real-interleaved layout.
     pub fn feedback_of(&self, id: StationId) -> Option<&[f32]> {
-        self.core
-            .sessions
-            .get(id)
-            .and_then(StationSession::feedback)
+        self.session(id).and_then(StationSession::feedback)
     }
 
     /// The latest feedback of station `id` materialized as per-subcarrier
@@ -1477,11 +1497,7 @@ impl ApServer {
         &self,
         id: StationId,
     ) -> Result<Vec<mimo_math::CMatrix>, ServeError> {
-        let session = self
-            .core
-            .sessions
-            .get(id)
-            .ok_or(ServeError::UnknownStation(id))?;
+        let session = self.session(id).ok_or(ServeError::UnknownStation(id))?;
         let flat = session.feedback().ok_or(ServeError::NoFeedback(id))?;
         self.models[session.model_key()]
             .feedback_to_matrices(flat)
@@ -1502,17 +1518,19 @@ impl ApServer {
             .collect()
     }
 
-    /// Stations (id order) whose feedback is at most `max_age` rounds old,
-    /// relative to the last closed round. Quarantined stations are excluded —
-    /// their link is not trusted, so they never enter a precoding group.
+    /// Stations (ascending id order, merged across shards) whose feedback is
+    /// at most `max_age` rounds old, relative to the last closed round.
+    /// Quarantined stations are excluded — their link is not trusted, so
+    /// they never enter a precoding group.
     pub fn fresh_station_ids(&self, max_age: u64) -> Vec<StationId> {
         let now = self.round.saturating_sub(1);
-        self.core
-            .sessions
-            .values()
+        let mut ids: Vec<StationId> = self
+            .sessions()
             .filter(|s| s.is_fresh(now, max_age) && s.health() != SessionHealth::Quarantined)
             .map(StationSession::id)
-            .collect()
+            .collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// Partitions fresh stations into MU-MIMO groups the zero-forcing precoder
@@ -1527,7 +1545,7 @@ impl ApServer {
             let members: Vec<StationId> = fresh
                 .iter()
                 .copied()
-                .filter(|id| self.core.sessions[id].model_key() == key)
+                .filter(|&id| self.session(id).is_some_and(|s| s.model_key() == key))
                 .collect();
             groups.extend(members.chunks(per_group).map(<[StationId]>::to_vec));
         }
@@ -1954,8 +1972,7 @@ mod tests {
             server.ingest_wire(3, &station_frame(&m_b, 63, 8)).unwrap();
             // Corrupt station 3's validated payload so model B's batch fails
             // at reconstruction time (validation already passed at ingest).
-            server
-                .core
+            server.shards[0]
                 .sessions
                 .get_mut(3)
                 .unwrap()
@@ -1980,6 +1997,192 @@ mod tests {
             assert!(server.feedback_of(1).is_none(), "serial={serial}");
             assert!(server.feedback_of(3).is_none(), "serial={serial}");
             assert_eq!(server.pending_count(), 0, "serial={serial}");
+        }
+    }
+
+    #[test]
+    fn ids_map_to_shards_deterministically() {
+        let server = ApServer::with_shards(4);
+        assert_eq!(server.num_shards(), 4);
+        for id in 0..32u64 {
+            assert_eq!(server.shard_of(id), (id % 4) as usize);
+        }
+        // Shard count clamps to at least one.
+        assert_eq!(ApServer::with_shards(0).num_shards(), 1);
+        assert_eq!(ApServer::new().num_shards(), 1);
+    }
+
+    #[test]
+    fn sharded_round_is_bit_exact_with_single_shard_and_serial() {
+        let m = model(31);
+        let stations = 9u64;
+        let bits = 6u8;
+        let mut single = ApServer::new();
+        let skey = single.register_model(m.clone());
+        let mut serial = ApServer::new();
+        let serial_key = serial.register_model(m.clone());
+        let mut sharded: Vec<ApServer> = [1usize, 2, 4, 7]
+            .iter()
+            .map(|&n| {
+                let mut s = ApServer::with_shards(n);
+                let key = s.register_model(m.clone());
+                for id in 0..stations {
+                    s.register_station(id, key, bits).unwrap();
+                }
+                s
+            })
+            .collect();
+        for id in 0..stations {
+            single.register_station(id, skey, bits).unwrap();
+            serial.register_station(id, serial_key, bits).unwrap();
+        }
+        for round in 0..3u64 {
+            for id in 0..stations {
+                if (round + id) % 4 == 1 {
+                    continue; // drop some reports
+                }
+                let frame = station_frame(&m, 500 + round * stations + id, bits);
+                single.ingest_wire(id, &frame).unwrap();
+                serial.ingest_wire(id, &frame).unwrap();
+                for s in sharded.iter_mut() {
+                    s.ingest_wire(id, &frame).unwrap();
+                }
+            }
+            let want = single.process_round().unwrap();
+            let want_serial = serial.process_round_serial().unwrap();
+            assert_eq!(want, want_serial);
+            for s in sharded.iter_mut() {
+                let got = s.process_round().unwrap();
+                assert_eq!(
+                    (got.round, got.served, got.stale, got.awaiting_first_report),
+                    (
+                        want.round,
+                        want.served,
+                        want.stale,
+                        want.awaiting_first_report
+                    ),
+                    "{} shards, round {round}",
+                    s.num_shards()
+                );
+                assert_eq!(s.evicted_in_last_round(), 0);
+                if s.num_shards() == 1 {
+                    // One shard matches the single server exactly, batches
+                    // included.
+                    assert_eq!(got, want, "round {round}");
+                }
+                for id in 0..stations {
+                    assert_eq!(
+                        s.feedback_of(id),
+                        single.feedback_of(id),
+                        "{} shards, round {round}, station {id}",
+                        s.num_shards()
+                    );
+                }
+            }
+        }
+        assert_eq!(sharded[0].pending_count(), 0);
+    }
+
+    #[test]
+    fn capacity_cap_rejects_and_reopens() {
+        for shards in [1usize, 3] {
+            let m = model(33);
+            let mut server = ApServer::with_shards(shards);
+            let key = server.register_model(m);
+            server.set_capacity(Some(2));
+            server.register_station(0, key, 8).unwrap();
+            server.register_station(1, key, 8).unwrap();
+            assert_eq!(
+                server.register_station(2, key, 8),
+                Err(ServeError::CapacityExceeded(2, 2)),
+                "{shards} shards"
+            );
+            // A duplicate id reports as duplicate, not capacity.
+            assert_eq!(
+                server.register_station(1, key, 8),
+                Err(ServeError::DuplicateStation(1)),
+                "{shards} shards"
+            );
+            // Departures free capacity.
+            server.deregister_station(0).unwrap();
+            server.register_station(2, key, 8).unwrap();
+            assert_eq!(server.num_stations(), 2);
+            assert_eq!(server.station_ids(), vec![1, 2]);
+            // Lifting the cap reopens registration.
+            server.set_capacity(None);
+            server.register_station(0, key, 8).unwrap();
+            assert_eq!(server.num_stations(), 3);
+        }
+    }
+
+    #[test]
+    fn idle_stations_are_evicted_and_can_reregister() {
+        for shards in [1usize, 2, 3] {
+            let m = model(35);
+            let mut server = ApServer::with_shards(shards);
+            let key = server.register_model(m.clone());
+            server.set_max_idle_rounds(Some(1));
+            for id in 0..4u64 {
+                server.register_station(id, key, 8).unwrap();
+            }
+            // Rounds 0..3: stations 0 and 1 keep reporting, 2 and 3 stay silent.
+            let mut evicted_total = 0;
+            for round in 0..3u64 {
+                for id in 0..2u64 {
+                    let frame = station_frame(&m, 700 + round * 2 + id, 8);
+                    server.ingest_wire(id, &frame).unwrap();
+                }
+                server.process_round().unwrap();
+                evicted_total += server.evicted_in_last_round();
+            }
+            // Stations 2 and 3 never reported; idle exceeded the 1-round budget
+            // after round 2 closed.
+            assert_eq!(evicted_total, 2, "{shards} shards");
+            assert_eq!(server.num_stations(), 2);
+            assert!(server.session(2).is_none());
+            assert!(server.session(3).is_none());
+            assert_eq!(
+                server.ingest_wire(2, &station_frame(&m, 800, 8)),
+                Err(ServeError::UnknownStation(2))
+            );
+            // Clean re-registration: fresh session, joins at the current round.
+            server.register_station(2, key, 8).unwrap();
+            let session = server.session(2).unwrap();
+            assert!(session.feedback().is_none());
+            assert_eq!(session.joined_round(), 3);
+            // An active reporter is never evicted.
+            assert!(server.session(0).is_some());
+            assert!(server.feedback_of(0).is_some());
+        }
+    }
+
+    #[test]
+    fn sharded_serial_reference_matches_parallel() {
+        let m = model(37);
+        let bits = 5u8;
+        let mut parallel = ApServer::with_shards(3);
+        let pkey = parallel.register_model(m.clone());
+        let mut serial = ApServer::with_shards(3);
+        let skey = serial.register_model(m.clone());
+        for id in 0..7u64 {
+            parallel.register_station(id, pkey, bits).unwrap();
+            serial.register_station(id, skey, bits).unwrap();
+        }
+        for round in 0..2u64 {
+            for id in 0..7u64 {
+                let frame = station_frame(&m, 900 + round * 7 + id, bits);
+                parallel.ingest_wire(id, &frame).unwrap();
+                serial.ingest_wire(id, &frame).unwrap();
+            }
+            let p = parallel.process_round().unwrap();
+            let s = serial.process_round_serial().unwrap();
+            assert_eq!(
+                (p.round, p.served, p.stale, p.awaiting_first_report),
+                (s.round, s.served, s.stale, s.awaiting_first_report)
+            );
+            for id in 0..7u64 {
+                assert_eq!(parallel.feedback_of(id), serial.feedback_of(id));
+            }
         }
     }
 }

@@ -1,928 +1,50 @@
-//! Multi-core sharded AP serving.
-//!
-//! [`ShardedApServer`] partitions station sessions across `N` independent
-//! shards (deterministic `id % N` mapping) and closes each sounding round by
-//! processing every shard **in parallel**. Each shard is a full
-//! [`crate::server::ApServer`]-grade serving core — its own session map and
-//! its own round arena — so shards share nothing mutable and the per-shard
-//! round close is the *very same code* the single-shard server runs. Because
-//! the fused batched tail kernel's per-element accumulation is independent of
-//! batch shape (see [`splitbeam::fused`]), splitting a model's stations
-//! across shards changes batch boundaries but not a single output bit:
-//! sharded serving is bit-exact with single-shard batched serving and with
-//! the station-at-a-time serial reference, under every kernel backend.
-//!
-//! On top of the partitioning, this layer owns **session lifecycle**:
-//!
-//! * *capacity caps* — [`ShardedApServer::set_capacity`] bounds the fleet;
-//!   registrations beyond it are rejected with
-//!   [`ServeError::CapacityExceeded`],
-//! * *idle eviction* — [`ShardedApServer::set_max_idle_rounds`] drops
-//!   stations that produced no feedback for more than the configured number
-//!   of rounds (never-reporting stations are measured from association),
-//! * *clean re-registration* — a deregistered or evicted id can associate
-//!   again and starts from a blank session.
+//! Former names kept for the `benchmark/` package, which builds against them:
+//! [`ShardedApServer`] is an [`ApServer`] from [`ApServer::with_shards`]. No
+//! serving logic lives here.
 
-use crate::server::{RoundOutcome, RoundSummary, ShardCore, TailEngine};
-use crate::session::{StationId, StationSession};
-use crate::timing::{DeadlinePolicy, FrameStamp, RoundDelayStats};
+use crate::server::{ApServer, RoundSummary, ServeMode};
+use crate::timing::DeadlinePolicy;
 use crate::ServeError;
-use rayon::prelude::*;
-use splitbeam::fused::{QuantizedTail, TailWeights};
-use splitbeam::model::SplitBeamModel;
-use splitbeam::quantization::QuantizedFeedback;
-use std::sync::Arc;
+use std::ops::{Deref, DerefMut};
 
-/// What one call to [`ShardedApServer::process_round`] did, merged across
-/// shards (deterministically, in shard order).
+/// An [`ApServer`] with `N` shards under its former name.
+#[derive(Debug, Clone)]
+pub struct ShardedApServer(ApServer);
+
+/// What [`ShardedApServer::finalize_stream_round`] returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardedRoundSummary {
-    /// Index of the round that was just closed.
-    pub round: u64,
-    /// Stations served across all shards.
-    pub served: usize,
-    /// Stations whose feedback aged this round (reported before, not now).
-    pub stale: usize,
-    /// Registered stations that have never produced feedback.
-    pub awaiting_first_report: usize,
-    /// Batched tail invocations across all shards (one per model with pending
-    /// traffic per shard — a sharded round runs more, smaller batches than a
-    /// single-shard round).
-    pub batches: usize,
-    /// Served reports within the Eq. 7d budget (all of them for untimed
-    /// lockstep closes).
-    pub on_time: usize,
-    /// Served reports past the budget but within the deadline grace window.
-    pub late: usize,
-    /// Reports past budget and grace, consumed without reconstruction.
-    pub expired: usize,
-    /// Virtual-delay breakdown summed over served reports, merged in shard
-    /// order.
-    pub delay: RoundDelayStats,
-    /// Frames the fault-injected medium dropped this round (event-driven
-    /// serving only; always `0` for lockstep closes).
-    pub lost: usize,
-    /// Frames rejected by the CRC-32 integrity check across all shards.
-    pub corrupt: usize,
-    /// Station retransmissions attempted this round (event-driven serving
-    /// only).
-    pub retransmitted: usize,
-    /// Stale stations still served from last-known-good feedback (within the
-    /// health policy's staleness cap), summed across shards.
-    pub stale_served: usize,
-    /// Shards that had at least one pending payload this round.
-    pub shards_with_traffic: usize,
-    /// Stations evicted after the close for exceeding the idle budget.
-    pub evicted: usize,
-}
+pub struct ShardedRoundSummary(RoundSummary);
 
 impl ShardedRoundSummary {
-    /// The single-server view of this round (eviction and shard counts
-    /// dropped). `batches` counts per-shard batches, so it only matches a
-    /// single-shard server's summary when `num_shards == 1`.
     pub fn as_round_summary(&self) -> RoundSummary {
-        RoundSummary {
-            round: self.round,
-            served: self.served,
-            stale: self.stale,
-            awaiting_first_report: self.awaiting_first_report,
-            batches: self.batches,
-            on_time: self.on_time,
-            late: self.late,
-            expired: self.expired,
-            delay: self.delay,
-            lost: self.lost,
-            corrupt: self.corrupt,
-            retransmitted: self.retransmitted,
-            stale_served: self.stale_served,
-        }
+        self.0
     }
-}
-
-/// Per-shard slice of the last round close, recorded in shard order. This is
-/// how stall-isolation is observed: a deliberately slow shard shows up here
-/// with depressed `on_time` while every other shard's numbers are untouched
-/// under streaming closes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardRoundStats {
-    /// Stations this shard served.
-    pub served: usize,
-    /// Served reports within the Eq. 7d budget.
-    pub on_time: usize,
-    /// Served reports past budget but within grace.
-    pub late: usize,
-    /// Reports consumed unreconstructed past budget and grace.
-    pub expired: usize,
-    /// Batched tail invocations this shard ran.
-    pub batches: usize,
-    /// Watermark-triggered micro-batch closes (0 for barrier rounds).
-    pub micro_closes: usize,
-}
-
-/// A multi-core AP serving layer: `N` session shards closed in parallel per
-/// sounding round, with capacity caps and idle eviction. See the module docs
-/// for the exactness argument.
-#[derive(Debug, Clone)]
-pub struct ShardedApServer {
-    models: Vec<Arc<SplitBeamModel>>,
-    /// Int8 tails bound from the registered models (same indices); consulted
-    /// only when `tail_weights` is [`TailWeights::Int8`].
-    tails: Vec<Arc<QuantizedTail>>,
-    /// Which weight format every shard's round close reconstructs with.
-    tail_weights: TailWeights,
-    shards: Vec<ShardCore>,
-    round: u64,
-    max_idle_rounds: Option<u64>,
-    capacity: Option<usize>,
-    stations: usize,
-    last_evicted: usize,
-    /// When set, wire ingest enqueues onto each shard's bounded ring and
-    /// rounds close via watermark-driven micro-batches
-    /// ([`ShardedApServer::advance_watermark`] /
-    /// [`ShardedApServer::finalize_stream_round`]).
-    streaming: bool,
-    /// Per-shard stats of the last round close, in shard order.
-    last_shard_stats: Vec<ShardRoundStats>,
 }
 
 impl ShardedApServer {
-    /// Creates an empty server with `num_shards` session shards (clamped to
-    /// at least one).
     pub fn new(num_shards: usize) -> Self {
-        let num_shards = num_shards.max(1);
-        Self {
-            models: Vec::new(),
-            tails: Vec::new(),
-            tail_weights: TailWeights::from_env(),
-            shards: (0..num_shards).map(|_| ShardCore::default()).collect(),
-            round: 0,
-            max_idle_rounds: None,
-            capacity: None,
-            stations: 0,
-            last_evicted: 0,
-            streaming: false,
-            last_shard_stats: Vec::new(),
-        }
+        Self(ApServer::with_shards(num_shards))
     }
 
-    /// Creates a server with the shard count resolved from the environment:
-    /// `SPLITBEAM_SHARDS` when set (clamped to `1..=64`), otherwise the
-    /// available parallelism capped at 8.
-    pub fn from_env() -> Self {
-        Self::new(env_shards())
-    }
-
-    /// Number of session shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The deterministic shard a station id maps to (`id % num_shards`).
-    pub fn shard_of(&self, id: StationId) -> usize {
-        (id % self.shards.len() as u64) as usize
-    }
-
-    /// Caps the number of simultaneously registered stations; `None` lifts
-    /// the cap. Registrations beyond the cap fail with
-    /// [`ServeError::CapacityExceeded`]; already-registered stations are
-    /// never dropped by lowering the cap.
-    pub fn set_capacity(&mut self, capacity: Option<usize>) {
-        self.capacity = capacity;
-    }
-
-    /// Enables idle eviction: after each round close, stations idle for more
-    /// than `max_idle_rounds` sounding rounds are removed. `None` (the
-    /// default) disables eviction.
-    pub fn set_max_idle_rounds(&mut self, max_idle_rounds: Option<u64>) {
-        self.max_idle_rounds = max_idle_rounds;
-    }
-
-    /// Registers a tail model and returns its key. Stations referencing the
-    /// same key share the model. The int8 tail is quantized and packed here,
-    /// once, shared read-only by every shard.
-    pub fn register_model(&mut self, model: SplitBeamModel) -> usize {
-        self.tails.push(Arc::new(QuantizedTail::bind(&model)));
-        self.models.push(Arc::new(model));
-        self.models.len() - 1
-    }
-
-    /// The weight format round closes currently reconstruct with.
-    pub fn tail_weights(&self) -> TailWeights {
-        self.tail_weights
-    }
-
-    /// Switches the tail weight format for subsequent round closes (all
-    /// shards; safe at any round boundary).
-    pub fn set_tail_weights(&mut self, mode: TailWeights) {
-        self.tail_weights = mode;
-    }
-
-    /// The model behind `key`.
-    pub fn model(&self, key: usize) -> Option<&SplitBeamModel> {
-        self.models.get(key).map(Arc::as_ref)
-    }
-
-    /// Associates a station with a registered model and quantizer width,
-    /// placing its session on shard [`ShardedApServer::shard_of`]`(id)`.
-    ///
-    /// # Errors
-    /// The same validation (and validation order) as
-    /// [`crate::server::ApServer::register_station`], plus
-    /// [`ServeError::CapacityExceeded`] when the request is otherwise valid
-    /// but the fleet is at the configured cap.
-    pub fn register_station(
-        &mut self,
-        id: StationId,
-        model_key: usize,
-        bits_per_value: u8,
-    ) -> Result<(), ServeError> {
-        let shard = self.shard_of(id);
-        self.shards[shard].validate_registration(
-            self.models.len(),
-            id,
-            model_key,
-            bits_per_value,
-        )?;
-        if let Some(cap) = self.capacity {
-            if self.stations >= cap {
-                return Err(ServeError::CapacityExceeded(id, cap));
-            }
-        }
-        self.shards[shard].register_station(
-            self.models.len(),
-            id,
-            model_key,
-            bits_per_value,
-            self.round,
-        )?;
-        self.stations += 1;
-        Ok(())
-    }
-
-    /// Removes a station's session (disassociation). The id can register
-    /// again afterwards with a completely fresh session.
-    ///
-    /// # Errors
-    /// [`ServeError::UnknownStation`] when the id is not registered.
-    pub fn deregister_station(&mut self, id: StationId) -> Result<(), ServeError> {
-        let shard = self.shard_of(id);
-        self.shards[shard].deregister_station(id)?;
-        self.stations -= 1;
-        Ok(())
-    }
-
-    /// Releases station `id` for a fleet handoff, returning its full session
-    /// state (payloads, health, staleness clocks) for the target AP to
-    /// adopt. Unlike deregistration, nothing is reset.
-    ///
-    /// # Errors
-    /// [`ServeError::UnknownStation`] when the id is not registered.
-    pub fn release_station(&mut self, id: StationId) -> Result<StationSession, ServeError> {
-        let shard = self.shard_of(id);
-        let session = self.shards[shard].release_station(id)?;
-        self.stations -= 1;
-        Ok(session)
-    }
-
-    /// Adopts a roaming station's session rebound to this server's
-    /// `model_key` — the warm half of a fleet handoff; no cold re-register,
-    /// so the session keeps its feedback history and health state.
-    ///
-    /// # Errors
-    /// The registration validations, plus [`ServeError::CapacityExceeded`]
-    /// at the configured cap; the rejected session rides back in the error
-    /// so the caller can restore it at the source instead of dropping the
-    /// station.
-    // The fat Err is the point: the rejected session must ride back to the
-    // caller for restore, and boxing a cold failure path buys nothing.
-    #[allow(clippy::result_large_err)]
-    pub fn adopt_station(
-        &mut self,
-        session: StationSession,
-        model_key: usize,
-    ) -> Result<(), (StationSession, ServeError)> {
-        let id = session.id();
-        let shard = self.shard_of(id);
-        if let Err(e) = self.shards[shard].validate_registration(
-            self.models.len(),
-            id,
-            model_key,
-            session.bits_per_value(),
-        ) {
-            return Err((session, e));
-        }
-        if let Some(cap) = self.capacity {
-            if self.stations >= cap {
-                return Err((session, ServeError::CapacityExceeded(id, cap)));
-            }
-        }
-        self.shards[shard].adopt_station(self.models.len(), session, model_key)?;
-        self.stations += 1;
-        Ok(())
-    }
-
-    /// Number of registered stations across all shards.
-    pub fn num_stations(&self) -> usize {
-        self.stations
-    }
-
-    /// The session of station `id`.
-    pub fn session(&self, id: StationId) -> Option<&StationSession> {
-        self.shards[self.shard_of(id)].sessions.get(id)
-    }
-
-    /// Iterates over all sessions, shard by shard (id order within a shard).
-    pub fn sessions(&self) -> impl Iterator<Item = &StationSession> {
-        self.shards.iter().flat_map(|s| s.sessions.values())
-    }
-
-    /// All registered station ids in ascending order (merged across shards).
-    pub fn station_ids(&self) -> Vec<StationId> {
-        let mut ids: Vec<StationId> = self.sessions().map(StationSession::id).collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Index of the sounding round currently being collected.
-    pub fn current_round(&self) -> u64 {
-        self.round
-    }
-
-    /// Number of payloads waiting for the next round close.
-    pub fn pending_count(&self) -> usize {
-        self.shards.iter().map(ShardCore::pending_count).sum()
-    }
-
-    /// Ingests one bit-packed wire frame from station `id`, routed to its
-    /// shard's recycled decode buffer.
-    ///
-    /// # Errors
-    /// Same contract as [`crate::server::ApServer::ingest_wire`].
-    pub fn ingest_wire(&mut self, id: StationId, frame: &[u8]) -> Result<usize, ServeError> {
-        let shard = self.shard_of(id);
-        if self.streaming {
-            return self.shards[shard].stream_ingest(
-                &self.models,
-                id,
-                frame,
-                FrameStamp::default(),
-                self.round,
-            );
-        }
-        self.shards[shard].ingest_wire(&self.models, id, frame, self.round)
-    }
-
-    /// Timestamped wire ingest: records the frame's virtual-time stamp on the
-    /// session so a deadline-aware round close can classify it.
-    ///
-    /// # Errors
-    /// Same contract as [`ShardedApServer::ingest_wire`].
-    pub fn ingest_wire_at(
-        &mut self,
-        id: StationId,
-        frame: &[u8],
-        stamp: FrameStamp,
-    ) -> Result<usize, ServeError> {
-        let shard = self.shard_of(id);
-        if self.streaming {
-            return self.shards[shard].stream_ingest(&self.models, id, frame, stamp, self.round);
-        }
-        self.shards[shard].ingest_wire_at(&self.models, id, frame, stamp, self.round)
-    }
-
-    /// Ingests an already-decoded payload (in-process stations, tests).
-    ///
-    /// # Errors
-    /// Same validation as [`ShardedApServer::ingest_wire`].
-    pub fn ingest_payload(
-        &mut self,
-        id: StationId,
-        payload: QuantizedFeedback,
-        wire_bytes: usize,
-    ) -> Result<usize, ServeError> {
-        let shard = self.shard_of(id);
-        self.shards[shard].ingest_payload(&self.models, id, payload, wire_bytes, self.round)
-    }
-
-    /// The health thresholds applied to every session.
-    pub fn health_policy(&self) -> crate::server::HealthPolicy {
-        self.shards[0].health
-    }
-
-    /// Replaces the health thresholds on every shard (takes effect from the
-    /// next ingest).
-    pub fn set_health_policy(&mut self, policy: crate::server::HealthPolicy) {
-        for shard in &mut self.shards {
-            shard.health = policy;
-        }
-    }
-
-    /// Closes the current round: every shard runs its fused batched round
-    /// close **in parallel** (one rayon task per shard), idle stations are
-    /// evicted when an idle budget is configured, and the per-shard summaries
-    /// are merged deterministically in shard order.
-    ///
-    /// Per-station results are bit-identical to
-    /// [`crate::server::ApServer::process_round`] and
-    /// [`crate::server::ApServer::process_round_serial`] on identical traffic,
-    /// for every shard count and kernel backend.
-    ///
-    /// # Errors
-    /// [`ServeError::Model`] when a batch fails; the same partial-round
-    /// semantics as the single-shard server apply per shard (only the failed
-    /// batch's payloads are consumed), every shard still closes, and the
-    /// first error in shard order is returned.
-    pub fn process_round(&mut self) -> Result<ShardedRoundSummary, ServeError> {
-        self.process_round_with(None)
-    }
-
-    /// Deadline-aware parallel round close: every shard classifies its
-    /// pending reports against `policy` (expired reports consumed without
-    /// reconstruction, late ones served but flagged) with the same semantics
-    /// as [`crate::server::ApServer::process_round_deadline`].
-    ///
-    /// # Errors
-    /// Same contract as [`ShardedApServer::process_round`].
-    pub fn process_round_deadline(
-        &mut self,
-        policy: DeadlinePolicy,
-    ) -> Result<ShardedRoundSummary, ServeError> {
-        self.process_round_with(Some(policy))
-    }
-
-    fn process_round_with(
-        &mut self,
-        policy: Option<DeadlinePolicy>,
-    ) -> Result<ShardedRoundSummary, ServeError> {
-        let round = self.round;
-        self.round += 1;
-        let engine = TailEngine::new(&self.models, &self.tails, self.tail_weights);
-        let max_idle = self.max_idle_rounds;
-        // The barrier couples every shard to the slowest one: the whole round
-        // close waits for the most stalled shard, so every shard's reports pay
-        // that worst-case close lag. (Streaming closes pay only their own
-        // shard's stall — that asymmetry is the point of the refactor.)
-        let barrier_lag = self.barrier_lag_ns();
-        let results: Vec<(RoundOutcome, usize, bool)> = self
-            .shards
-            .par_iter_mut()
-            .map(|shard: &mut ShardCore| {
-                let had_traffic = shard.pending_count() > 0;
-                let outcome = shard.close_round_batched(&engine, round, policy, barrier_lag);
-                let evicted = match max_idle {
-                    Some(budget) => shard.evict_idle(round, budget),
-                    None => 0,
-                };
-                (outcome, evicted, had_traffic)
-            })
-            .collect();
-        self.merge_round(round, results)
-    }
-
-    /// Reference path: closes the round with every shard's station-at-a-time
-    /// serial close, shard after shard (no parallelism). Produces bit-exact
-    /// session state to [`ShardedApServer::process_round`]; kept for
-    /// verification.
-    ///
-    /// # Errors
-    /// Same contract as [`ShardedApServer::process_round`].
-    pub fn process_round_serial(&mut self) -> Result<ShardedRoundSummary, ServeError> {
-        self.process_round_serial_with(None)
-    }
-
-    /// Deadline-aware serial reference for
-    /// [`ShardedApServer::process_round_deadline`].
-    ///
-    /// # Errors
-    /// Same contract as [`ShardedApServer::process_round_serial`].
-    pub fn process_round_serial_deadline(
-        &mut self,
-        policy: DeadlinePolicy,
-    ) -> Result<ShardedRoundSummary, ServeError> {
-        self.process_round_serial_with(Some(policy))
-    }
-
-    fn process_round_serial_with(
-        &mut self,
-        policy: Option<DeadlinePolicy>,
-    ) -> Result<ShardedRoundSummary, ServeError> {
-        let round = self.round;
-        self.round += 1;
-        let engine = TailEngine::new(&self.models, &self.tails, self.tail_weights);
-        let max_idle = self.max_idle_rounds;
-        let barrier_lag = self.barrier_lag_ns();
-        let results: Vec<(RoundOutcome, usize, bool)> = self
-            .shards
-            .iter_mut()
-            .map(|shard| {
-                let had_traffic = shard.pending_count() > 0;
-                let outcome = shard.close_round_serial(&engine, round, policy, barrier_lag);
-                let evicted = match max_idle {
-                    Some(budget) => shard.evict_idle(round, budget),
-                    None => 0,
-                };
-                (outcome, evicted, had_traffic)
-            })
-            .collect();
-        self.merge_round(round, results)
-    }
-
-    /// The close lag every shard pays under the round barrier: the maximum
-    /// stall across all shards (the barrier waits for the slowest).
-    fn barrier_lag_ns(&self) -> u64 {
-        self.shards.iter().map(|s| s.stall_ns).max().unwrap_or(0)
-    }
-
-    /// Deterministic merge of the per-shard outcomes, in shard order.
-    fn merge_round(
-        &mut self,
-        round: u64,
-        results: Vec<(RoundOutcome, usize, bool)>,
-    ) -> Result<ShardedRoundSummary, ServeError> {
-        let mut summary = ShardedRoundSummary {
-            round,
-            served: 0,
-            stale: 0,
-            awaiting_first_report: 0,
-            batches: 0,
-            on_time: 0,
-            late: 0,
-            expired: 0,
-            delay: RoundDelayStats::default(),
-            lost: 0,
-            corrupt: 0,
-            retransmitted: 0,
-            stale_served: 0,
-            shards_with_traffic: 0,
-            evicted: 0,
-        };
-        let mut first_error = None;
-        self.last_shard_stats.clear();
-        for (outcome, evicted, had_traffic) in results {
-            self.last_shard_stats.push(ShardRoundStats {
-                served: outcome.served,
-                on_time: outcome.on_time,
-                late: outcome.late,
-                expired: outcome.expired,
-                batches: outcome.batches,
-                micro_closes: outcome.micro_closes,
-            });
-            summary.served += outcome.served;
-            summary.stale += outcome.stale;
-            summary.awaiting_first_report += outcome.awaiting_first_report;
-            summary.batches += outcome.batches;
-            summary.on_time += outcome.on_time;
-            summary.late += outcome.late;
-            summary.expired += outcome.expired;
-            summary.delay.merge(&outcome.delay);
-            summary.corrupt += outcome.corrupt;
-            summary.stale_served += outcome.stale_served;
-            summary.shards_with_traffic += usize::from(had_traffic);
-            summary.evicted += evicted;
-            if first_error.is_none() {
-                first_error = outcome.error;
-            }
-        }
-        self.stations -= summary.evicted;
-        self.last_evicted = summary.evicted;
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(summary),
-        }
-    }
-
-    /// Stations evicted by the most recent round close (`0` before the first
-    /// close, or when eviction is disabled). This is how the trait-driven
-    /// serving loop observes eviction counts without the sharded summary.
-    pub fn evicted_in_last_round(&self) -> usize {
-        self.last_evicted
-    }
-
-    /// Per-shard stats of the most recent round close, in shard order (empty
-    /// before the first close).
-    pub fn shard_round_stats(&self) -> &[ShardRoundStats] {
-        &self.last_shard_stats
-    }
-
-    /// Switches between lockstep and streaming ingest across all shards.
-    /// Only toggle while quiescent (no frames queued or pending).
-    pub fn set_streaming(&mut self, on: bool) {
-        self.streaming = on;
-    }
-
-    /// Whether streaming ingest is active.
-    pub fn is_streaming(&self) -> bool {
-        self.streaming
-    }
-
-    /// Sets shard `shard`'s artificial close lag (stalled-shard model).
-    /// Under barrier closes **every** shard's reports pay the maximum stall
-    /// (the barrier waits for the slowest shard); under streaming closes each
-    /// shard pays only its own.
-    ///
-    /// # Panics
-    /// When `shard` is out of range.
-    pub fn set_shard_stall_ns(&mut self, shard: usize, ns: u64) {
-        self.shards[shard].stall_ns = ns;
-    }
-
-    /// One watermark tick at virtual time `watermark_ns` with tick period
-    /// `step_ns`: every shard commits its due frames and micro-closes its
-    /// pending batch iff its own oldest pending frame's Eq. 7d service
-    /// deadline falls before the next watermark — **independently of every
-    /// other shard** (no barrier). Shards advance serially in shard order,
-    /// which keeps the close deterministic.
-    pub fn advance_watermark(
-        &mut self,
-        watermark_ns: u64,
-        step_ns: u64,
-        policy: Option<DeadlinePolicy>,
-    ) {
-        let round = self.round;
-        let engine = TailEngine::new(&self.models, &self.tails, self.tail_weights);
-        for shard in &mut self.shards {
-            shard.advance_watermark(&engine, round, watermark_ns, step_ns, policy);
-        }
-    }
-
-    /// Streaming round close: every shard (in parallel) commits its remaining
-    /// queued frames, serves any remaining pending batch with its **own**
-    /// stall as close lag, folds in its accumulated micro-batch summaries,
-    /// and runs the once-per-round health pass; then eviction and the
-    /// deterministic shard-order merge proceed exactly as in
-    /// [`ShardedApServer::process_round`].
-    ///
-    /// With no intermediate watermark fired and no stalls this is bit-exact
-    /// with [`ShardedApServer::process_round`].
-    ///
-    /// # Errors
-    /// Same contract as [`ShardedApServer::process_round`].
+    /// `close(ServeMode::Streaming, policy)`.
     pub fn finalize_stream_round(
         &mut self,
         policy: Option<DeadlinePolicy>,
     ) -> Result<ShardedRoundSummary, ServeError> {
-        let round = self.round;
-        self.round += 1;
-        let engine = TailEngine::new(&self.models, &self.tails, self.tail_weights);
-        let max_idle = self.max_idle_rounds;
-        let results: Vec<(RoundOutcome, usize, bool)> = self
-            .shards
-            .par_iter_mut()
-            .map(|shard: &mut ShardCore| {
-                let had_traffic = shard.round_had_traffic();
-                let outcome = shard.finalize_stream_round(&engine, round, policy);
-                let evicted = match max_idle {
-                    Some(budget) => shard.evict_idle(round, budget),
-                    None => 0,
-                };
-                (outcome, evicted, had_traffic)
-            })
-            .collect();
-        self.merge_round(round, results)
-    }
-
-    /// The latest reconstructed feedback of station `id`, in the tail's flat
-    /// real-interleaved layout.
-    pub fn feedback_of(&self, id: StationId) -> Option<&[f32]> {
-        self.shards[self.shard_of(id)]
-            .sessions
-            .get(id)
-            .and_then(StationSession::feedback)
-    }
-
-    /// Stations (ascending id order, merged across shards) whose feedback is
-    /// at most `max_age` rounds old, relative to the last closed round.
-    /// Quarantined stations are excluded, matching the single-shard server.
-    pub fn fresh_station_ids(&self, max_age: u64) -> Vec<StationId> {
-        let now = self.round.saturating_sub(1);
-        let mut ids: Vec<StationId> = self
-            .sessions()
-            .filter(|s| {
-                s.is_fresh(now, max_age) && s.health() != crate::session::SessionHealth::Quarantined
-            })
-            .map(StationSession::id)
-            .collect();
-        ids.sort_unstable();
-        ids
+        let summary = self.0.close(ServeMode::Streaming, policy)?;
+        Ok(ShardedRoundSummary(summary))
     }
 }
 
-/// Shard count from the environment: `SPLITBEAM_SHARDS` when set (clamped to
-/// `1..=64`), otherwise the available parallelism capped at 8.
-pub fn env_shards() -> usize {
-    match mimo_math::env::parse::<usize>("SPLITBEAM_SHARDS") {
-        Some(n) => n.clamp(1, 64),
-        None => rayon::current_num_threads().clamp(1, 8),
+impl Deref for ShardedApServer {
+    type Target = ApServer;
+    fn deref(&self) -> &ApServer {
+        &self.0
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::server::ApServer;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-    use splitbeam::config::{CompressionLevel, SplitBeamConfig};
-    use wifi_phy::channel::{ChannelModel, EnvironmentProfile};
-    use wifi_phy::ofdm::{Bandwidth, MimoConfig};
-
-    fn model(seed: u64) -> SplitBeamModel {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        SplitBeamModel::new(
-            SplitBeamConfig::new(
-                MimoConfig::symmetric(2, Bandwidth::Mhz20),
-                CompressionLevel::OneEighth,
-            ),
-            &mut rng,
-        )
-    }
-
-    fn station_frame(model: &SplitBeamModel, seed: u64, bits: u8) -> Vec<u8> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let channel = ChannelModel::new(EnvironmentProfile::e1(), Bandwidth::Mhz20, 2, 1, 1);
-        let csi: Vec<f32> = channel
-            .sample(&mut rng)
-            .csi_real_vector(0)
-            .into_iter()
-            .map(|v| v as f32)
-            .collect();
-        let payload = model.compress_quantized(&csi, bits).unwrap();
-        splitbeam::wire::encode_feedback(&payload).unwrap()
-    }
-
-    #[test]
-    fn ids_map_to_shards_deterministically() {
-        let server = ShardedApServer::new(4);
-        assert_eq!(server.num_shards(), 4);
-        for id in 0..32u64 {
-            assert_eq!(server.shard_of(id), (id % 4) as usize);
-        }
-        // Shard count clamps to at least one.
-        assert_eq!(ShardedApServer::new(0).num_shards(), 1);
-        assert!(env_shards() >= 1);
-    }
-
-    #[test]
-    fn sharded_round_is_bit_exact_with_single_shard_and_serial() {
-        let m = model(31);
-        let stations = 9u64;
-        let bits = 6u8;
-        let mut single = ApServer::new();
-        let skey = single.register_model(m.clone());
-        let mut serial = ApServer::new();
-        let serial_key = serial.register_model(m.clone());
-        let mut sharded: Vec<ShardedApServer> = [1usize, 2, 4, 7]
-            .iter()
-            .map(|&n| {
-                let mut s = ShardedApServer::new(n);
-                let key = s.register_model(m.clone());
-                for id in 0..stations {
-                    s.register_station(id, key, bits).unwrap();
-                }
-                s
-            })
-            .collect();
-        for id in 0..stations {
-            single.register_station(id, skey, bits).unwrap();
-            serial.register_station(id, serial_key, bits).unwrap();
-        }
-        for round in 0..3u64 {
-            for id in 0..stations {
-                if (round + id) % 4 == 1 {
-                    continue; // drop some reports
-                }
-                let frame = station_frame(&m, 500 + round * stations + id, bits);
-                single.ingest_wire(id, &frame).unwrap();
-                serial.ingest_wire(id, &frame).unwrap();
-                for s in sharded.iter_mut() {
-                    s.ingest_wire(id, &frame).unwrap();
-                }
-            }
-            let want = single.process_round().unwrap();
-            let want_serial = serial.process_round_serial().unwrap();
-            assert_eq!(want, want_serial);
-            for s in sharded.iter_mut() {
-                let got = s.process_round().unwrap();
-                assert_eq!(
-                    (got.round, got.served, got.stale, got.awaiting_first_report),
-                    (
-                        want.round,
-                        want.served,
-                        want.stale,
-                        want.awaiting_first_report
-                    ),
-                    "{} shards, round {round}",
-                    s.num_shards()
-                );
-                assert_eq!(got.evicted, 0);
-                for id in 0..stations {
-                    assert_eq!(
-                        s.feedback_of(id),
-                        single.feedback_of(id),
-                        "{} shards, round {round}, station {id}",
-                        s.num_shards()
-                    );
-                }
-            }
-        }
-        // One-shard summaries match the single server exactly, batches included.
-        assert_eq!(sharded[0].pending_count(), 0);
-    }
-
-    #[test]
-    fn capacity_cap_rejects_and_reopens() {
-        let m = model(33);
-        let mut server = ShardedApServer::new(3);
-        let key = server.register_model(m);
-        server.set_capacity(Some(2));
-        server.register_station(0, key, 8).unwrap();
-        server.register_station(1, key, 8).unwrap();
-        assert_eq!(
-            server.register_station(2, key, 8),
-            Err(ServeError::CapacityExceeded(2, 2))
-        );
-        // A duplicate id reports as duplicate, not capacity.
-        assert_eq!(
-            server.register_station(1, key, 8),
-            Err(ServeError::DuplicateStation(1))
-        );
-        // Departures free capacity.
-        server.deregister_station(0).unwrap();
-        server.register_station(2, key, 8).unwrap();
-        assert_eq!(server.num_stations(), 2);
-        assert_eq!(server.station_ids(), vec![1, 2]);
-        // Lifting the cap reopens registration.
-        server.set_capacity(None);
-        server.register_station(0, key, 8).unwrap();
-        assert_eq!(server.num_stations(), 3);
-    }
-
-    #[test]
-    fn idle_stations_are_evicted_and_can_reregister() {
-        let m = model(35);
-        let mut server = ShardedApServer::new(2);
-        let key = server.register_model(m.clone());
-        server.set_max_idle_rounds(Some(1));
-        for id in 0..4u64 {
-            server.register_station(id, key, 8).unwrap();
-        }
-        // Rounds 0..3: stations 0 and 1 keep reporting, 2 and 3 stay silent.
-        let mut evicted_total = 0;
-        for round in 0..3u64 {
-            for id in 0..2u64 {
-                let frame = station_frame(&m, 700 + round * 2 + id, 8);
-                server.ingest_wire(id, &frame).unwrap();
-            }
-            let summary = server.process_round().unwrap();
-            evicted_total += summary.evicted;
-        }
-        // Stations 2 and 3 never reported; idle exceeded the 1-round budget
-        // after round 2 closed.
-        assert_eq!(evicted_total, 2);
-        assert_eq!(server.num_stations(), 2);
-        assert!(server.session(2).is_none());
-        assert!(server.session(3).is_none());
-        assert_eq!(
-            server.ingest_wire(2, &station_frame(&m, 800, 8)),
-            Err(ServeError::UnknownStation(2))
-        );
-        // Clean re-registration: fresh session, joins at the current round.
-        server.register_station(2, key, 8).unwrap();
-        let session = server.session(2).unwrap();
-        assert!(session.feedback().is_none());
-        assert_eq!(session.joined_round(), 3);
-        // An active reporter is never evicted.
-        assert!(server.session(0).is_some());
-        assert!(server.feedback_of(0).is_some());
-    }
-
-    #[test]
-    fn sharded_serial_reference_matches_parallel() {
-        let m = model(37);
-        let bits = 5u8;
-        let mut parallel = ShardedApServer::new(3);
-        let pkey = parallel.register_model(m.clone());
-        let mut serial = ShardedApServer::new(3);
-        let skey = serial.register_model(m.clone());
-        for id in 0..7u64 {
-            parallel.register_station(id, pkey, bits).unwrap();
-            serial.register_station(id, skey, bits).unwrap();
-        }
-        for round in 0..2u64 {
-            for id in 0..7u64 {
-                let frame = station_frame(&m, 900 + round * 7 + id, bits);
-                parallel.ingest_wire(id, &frame).unwrap();
-                serial.ingest_wire(id, &frame).unwrap();
-            }
-            let p = parallel.process_round().unwrap();
-            let s = serial.process_round_serial().unwrap();
-            assert_eq!(
-                (p.round, p.served, p.stale, p.awaiting_first_report),
-                (s.round, s.served, s.stale, s.awaiting_first_report)
-            );
-            for id in 0..7u64 {
-                assert_eq!(parallel.feedback_of(id), serial.feedback_of(id));
-            }
-        }
+impl DerefMut for ShardedApServer {
+    fn deref_mut(&mut self) -> &mut ApServer {
+        &mut self.0
     }
 }

@@ -17,10 +17,9 @@ use rand_chacha::ChaCha8Rng;
 use splitbeam::config::{CompressionLevel, SplitBeamConfig};
 use splitbeam::model::SplitBeamModel;
 use splitbeam_serve::driver::{
-    build_server, build_sharded_server, generate_traffic, serve_traffic, ChurnConfig, RoundServing,
-    ServeMode, SimConfig,
+    build_server, generate_traffic, serve_traffic, ChurnConfig, RoundServing, ServeMode, SimConfig,
 };
-use splitbeam_serve::event::{build_event_driver, build_sharded_event_driver, EventConfig};
+use splitbeam_serve::event::{build_event_driver, EventConfig};
 use splitbeam_serve::timing::FrameStamp;
 use splitbeam_serve::StationId;
 use std::sync::Mutex;
@@ -98,14 +97,14 @@ proptest! {
         let traffic = generate_traffic(&cfg, &m, &mut rng);
         for choice in kernel_choices() {
             with_kernel(choice, || {
-                let mut batched = build_server(m.clone(), cfg.stations, bits);
+                let mut batched = build_server(m.clone(), cfg.stations, bits, 1);
                 let want = serve_traffic(&mut batched, &traffic, ServeMode::Batched).unwrap();
-                let mut serial = build_server(m.clone(), cfg.stations, bits);
+                let mut serial = build_server(m.clone(), cfg.stations, bits, 1);
                 let want_serial = serve_traffic(&mut serial, &traffic, ServeMode::Serial).unwrap();
                 prop_assert_eq!(&want, &want_serial);
 
                 let mut event = build_event_driver(
-                    m.clone(), cfg.stations, bits, EventConfig::lockstep(), None);
+                    m.clone(), cfg.stations, bits, 1, EventConfig::lockstep(), None);
                 let got = serve_traffic(&mut event, &traffic, ServeMode::Batched).unwrap();
                 prop_assert_eq!(&got, &want, "event (single shard) vs legacy, {:?}", choice);
                 for id in 0..traffic.max_station_id {
@@ -118,10 +117,10 @@ proptest! {
 
                 for shards in SHARD_COUNTS {
                     let mut legacy_sharded =
-                        build_sharded_server(m.clone(), cfg.stations, bits, shards);
+                        build_server(m.clone(), cfg.stations, bits, shards);
                     let legacy = serve_traffic(&mut legacy_sharded, &traffic, ServeMode::Batched)
                         .unwrap();
-                    let mut sharded_event = build_sharded_event_driver(
+                    let mut sharded_event = build_event_driver(
                         m.clone(), cfg.stations, bits, shards, EventConfig::lockstep(), None);
                     let got = serve_traffic(&mut sharded_event, &traffic, ServeMode::Batched)
                         .unwrap();
@@ -173,6 +172,7 @@ fn past_budget_frame_is_never_silently_served_as_fresh() {
         m.clone(),
         cfg.stations,
         cfg.bits_per_value,
+        1,
         EventConfig {
             jitter_max_ns: 60_000_000, // up to 60 ms on a 10 ms budget
             seed: 7,
@@ -210,7 +210,7 @@ fn past_budget_frame_is_never_silently_served_as_fresh() {
 #[test]
 fn hand_stamped_expired_frame_is_dropped_by_the_deadline_close() {
     let m = model(44);
-    let mut server = build_server(m.clone(), 2, 8);
+    let mut server = build_server(m.clone(), 2, 8, 1);
     let frame = {
         let mut rng = ChaCha8Rng::seed_from_u64(45);
         let channel = wifi_phy::channel::ChannelModel::new(
@@ -248,7 +248,7 @@ fn hand_stamped_expired_frame_is_dropped_by_the_deadline_close() {
         )
         .unwrap();
     let policy = splitbeam_serve::DeadlinePolicy::eq7d();
-    let summary = server.process_round_deadline(policy).unwrap();
+    let summary = server.close(ServeMode::Batched, Some(policy)).unwrap();
     assert_eq!(
         (
             summary.served,

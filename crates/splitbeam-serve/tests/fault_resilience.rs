@@ -24,10 +24,9 @@ use splitbeam::wire;
 use splitbeam::SplitBeamError;
 use splitbeam_hwsim::fault::FaultConfig;
 use splitbeam_serve::driver::{
-    build_server, build_sharded_server, generate_traffic, serve_traffic, RoundServing, ServeMode,
-    SimConfig,
+    build_server, generate_traffic, serve_traffic, RoundServing, ServeMode, SimConfig,
 };
-use splitbeam_serve::event::{build_event_driver, build_sharded_event_driver, EventConfig};
+use splitbeam_serve::event::{build_event_driver, EventConfig};
 use splitbeam_serve::{RoundSummary, ServeError};
 use std::sync::Mutex;
 use wifi_phy::ofdm::{Bandwidth, MimoConfig};
@@ -142,11 +141,12 @@ fn fuzz_decode_and_ingest_survive_hostile_frames() {
         valid.push(wire::encode_feedback(&payload).unwrap());
     }
 
-    // Every server flavor the repo ships: single-shard batched/serial share
-    // one ingest path, plus sharded at 1 and 4.
-    let mut flat = build_server(m.clone(), 2, 8);
-    let mut sharded1 = build_sharded_server(m.clone(), 2, 8, 1);
-    let mut sharded4 = build_sharded_server(m.clone(), 2, 8, 4);
+    // The one server type at 1 and 4 shards: batched and serial closes
+    // share one ingest path.
+    let mut servers = [
+        build_server(m.clone(), 2, 8, 1),
+        build_server(m.clone(), 2, 8, 4),
+    ];
 
     let budget = fuzz_budget();
     let mut rejected_corrupt = 0usize;
@@ -176,15 +176,11 @@ fn fuzz_decode_and_ingest_survive_hostile_frames() {
             Err(other) => panic!("unexpected decode error class at iteration {i}: {other}"),
         }
 
-        // Ingest on every flavor: must not panic, must stay within the serve
-        // error taxonomy, and must keep the session machinery alive.
+        // Ingest at every shard count: must not panic, must stay within the
+        // serve error taxonomy, and must keep the session machinery alive.
         let id = (i % 2) as u64;
-        for result in [
-            flat.ingest_wire(id, &frame),
-            RoundServing::ingest_wire(&mut sharded1, id, &frame),
-            RoundServing::ingest_wire(&mut sharded4, id, &frame),
-        ] {
-            match result {
+        for server in servers.iter_mut() {
+            match server.ingest_wire(id, &frame) {
                 Ok(_) => {}
                 Err(
                     ServeError::Corrupt(_, _)
@@ -198,9 +194,9 @@ fn fuzz_decode_and_ingest_survive_hostile_frames() {
         // Close rounds periodically so quarantine windows open *and* expire
         // under fire.
         if i % 257 == 0 {
-            flat.process_round().unwrap();
-            RoundServing::close_round(&mut sharded1, ServeMode::Batched).unwrap();
-            RoundServing::close_round(&mut sharded4, ServeMode::Batched).unwrap();
+            for server in servers.iter_mut() {
+                server.close(ServeMode::Batched, None).unwrap();
+            }
         }
     }
     assert!(
@@ -212,11 +208,8 @@ fn fuzz_decode_and_ingest_survive_hostile_frames() {
     // The servers are still serviceable after the bombardment: a clean frame
     // is either accepted or (legitimately) refused because the fuzz run
     // quarantined the station.
-    for result in [
-        flat.ingest_wire(0, &valid[0]),
-        RoundServing::ingest_wire(&mut sharded1, 0, &valid[0]),
-        RoundServing::ingest_wire(&mut sharded4, 0, &valid[0]),
-    ] {
+    for server in servers.iter_mut() {
+        let result = server.ingest_wire(0, &valid[0]);
         assert!(
             matches!(result, Ok(_) | Err(ServeError::Quarantined(_))),
             "server no longer serviceable after fuzzing: {result:?}"
@@ -285,11 +278,23 @@ fn fault_plan_is_deterministic_across_flavors_and_kernels() {
     let mut reference: Option<Vec<_>> = None;
     for choice in kernel_choices() {
         with_kernel(choice, || {
-            let mut batched =
-                build_event_driver(m.clone(), cfg.stations, cfg.bits_per_value, event_cfg, None);
+            let mut batched = build_event_driver(
+                m.clone(),
+                cfg.stations,
+                cfg.bits_per_value,
+                1,
+                event_cfg,
+                None,
+            );
             let got_batched = serve_traffic(&mut batched, &traffic, ServeMode::Batched).unwrap();
-            let mut serial =
-                build_event_driver(m.clone(), cfg.stations, cfg.bits_per_value, event_cfg, None);
+            let mut serial = build_event_driver(
+                m.clone(),
+                cfg.stations,
+                cfg.bits_per_value,
+                1,
+                event_cfg,
+                None,
+            );
             let got_serial = serve_traffic(&mut serial, &traffic, ServeMode::Serial).unwrap();
             // Batched and serial closes are fully bit-exact under faults.
             assert_eq!(got_batched, got_serial, "batched vs serial, {choice:?}");
@@ -297,7 +302,7 @@ fn fault_plan_is_deterministic_across_flavors_and_kernels() {
 
             let profile = fault_profile(&got_batched.summaries);
             for shards in [1usize, 4] {
-                let mut sharded = build_sharded_event_driver(
+                let mut sharded = build_event_driver(
                     m.clone(),
                     cfg.stations,
                     cfg.bits_per_value,
@@ -362,14 +367,14 @@ proptest! {
         };
         for choice in kernel_choices() {
             with_kernel(choice, || {
-                let mut batched = build_server(m.clone(), cfg.stations, bits);
+                let mut batched = build_server(m.clone(), cfg.stations, bits, 1);
                 let want = serve_traffic(&mut batched, &traffic, ServeMode::Batched).unwrap();
-                let mut serial = build_server(m.clone(), cfg.stations, bits);
+                let mut serial = build_server(m.clone(), cfg.stations, bits, 1);
                 let want_serial = serve_traffic(&mut serial, &traffic, ServeMode::Serial).unwrap();
                 prop_assert_eq!(&want, &want_serial);
 
                 let mut event =
-                    build_event_driver(m.clone(), cfg.stations, bits, event_cfg, None);
+                    build_event_driver(m.clone(), cfg.stations, bits, 1, event_cfg, None);
                 let got = serve_traffic(&mut event, &traffic, ServeMode::Batched).unwrap();
                 prop_assert_eq!(&got, &want, "armed-but-inactive injector, {:?}", choice);
                 let stats = event.fault_stats();
@@ -382,10 +387,10 @@ proptest! {
                 }
                 for shards in [1usize, 4] {
                     let mut legacy =
-                        build_sharded_server(m.clone(), cfg.stations, bits, shards);
+                        build_server(m.clone(), cfg.stations, bits, shards);
                     let want_sharded =
                         serve_traffic(&mut legacy, &traffic, ServeMode::Batched).unwrap();
-                    let mut sharded = build_sharded_event_driver(
+                    let mut sharded = build_event_driver(
                         m.clone(), cfg.stations, bits, shards, event_cfg, None);
                     let got =
                         serve_traffic(&mut sharded, &traffic, ServeMode::Batched).unwrap();

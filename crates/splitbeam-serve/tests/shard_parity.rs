@@ -13,8 +13,7 @@ use rand_chacha::ChaCha8Rng;
 use splitbeam::config::{CompressionLevel, SplitBeamConfig};
 use splitbeam::model::SplitBeamModel;
 use splitbeam_serve::driver::{
-    build_server, build_sharded_server, generate_traffic, serve_traffic, ChurnConfig, ServeMode,
-    SimConfig,
+    build_server, generate_traffic, serve_traffic, ChurnConfig, ServeMode, SimConfig,
 };
 use std::sync::Mutex;
 use wifi_phy::ofdm::{Bandwidth, MimoConfig};
@@ -86,14 +85,14 @@ proptest! {
         let traffic = generate_traffic(&cfg, &m, &mut rng);
         for choice in kernel_choices() {
             with_kernel(choice, || {
-                let mut batched = build_server(m.clone(), cfg.stations, bits);
-                let mut serial = build_server(m.clone(), cfg.stations, bits);
+                let mut batched = build_server(m.clone(), cfg.stations, bits, 1);
+                let mut serial = build_server(m.clone(), cfg.stations, bits, 1);
                 let b = serve_traffic(&mut batched, &traffic, ServeMode::Batched).unwrap();
                 let s = serve_traffic(&mut serial, &traffic, ServeMode::Serial).unwrap();
                 prop_assert_eq!(&b, &s, "batched vs serial summaries ({:?})", choice);
                 for &shards in &SHARD_COUNTS {
                     let mut sharded =
-                        build_sharded_server(m.clone(), cfg.stations, bits, shards);
+                        build_server(m.clone(), cfg.stations, bits, shards);
                     let o = serve_traffic(&mut sharded, &traffic, ServeMode::Batched).unwrap();
                     prop_assert_eq!(o.total_served(), b.total_served());
                     for (got, want) in o.summaries.iter().zip(b.summaries.iter()) {
@@ -145,8 +144,8 @@ proptest! {
         // Sibling tests flip the process-global kernel override; hold the
         // lock so both servers run the same kernel.
         with_kernel(KernelChoice::Auto, || {
-            let mut parallel = build_sharded_server(m.clone(), cfg.stations, 4, shards);
-            let mut serial = build_sharded_server(m.clone(), cfg.stations, 4, shards);
+            let mut parallel = build_server(m.clone(), cfg.stations, 4, shards);
+            let mut serial = build_server(m.clone(), cfg.stations, 4, shards);
             let p = serve_traffic(&mut parallel, &traffic, ServeMode::Batched).unwrap();
             let s = serve_traffic(&mut serial, &traffic, ServeMode::Serial).unwrap();
             prop_assert_eq!(p.total_served(), s.total_served());
@@ -162,7 +161,7 @@ proptest! {
 fn eviction_and_reregistration_transitions_across_shard_counts() {
     let m = model(77);
     for &shards in &SHARD_COUNTS {
-        let mut server = build_sharded_server(m.clone(), 6, 4, shards);
+        let mut server = build_server(m.clone(), 6, 4, shards);
         server.set_max_idle_rounds(Some(0));
         let cfg = SimConfig {
             stations: 6,

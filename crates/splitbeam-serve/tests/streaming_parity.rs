@@ -20,13 +20,12 @@ use splitbeam::config::{CompressionLevel, SplitBeamConfig};
 use splitbeam::model::SplitBeamModel;
 use splitbeam_hwsim::fault::FaultConfig;
 use splitbeam_serve::driver::{
-    build_server, build_sharded_server, generate_traffic, serve_traffic, RoundServing, ServeMode,
-    SimConfig,
+    build_server, generate_traffic, serve_traffic, RoundServing, ServeMode, SimConfig,
 };
-use splitbeam_serve::event::{build_event_driver, build_sharded_event_driver, EventConfig};
+use splitbeam_serve::event::{build_event_driver, EventConfig};
 use splitbeam_serve::server::ApServer;
 use splitbeam_serve::timing::FrameStamp;
-use splitbeam_serve::{DeadlinePolicy, ServeError, ShardedApServer};
+use splitbeam_serve::{DeadlinePolicy, ServeError};
 use std::sync::Mutex;
 use wifi_phy::channel::{ChannelModel, EnvironmentProfile};
 use wifi_phy::ofdm::{Bandwidth, MimoConfig};
@@ -134,11 +133,11 @@ proptest! {
                     streaming_cfg.streaming = true;
 
                     let mut barrier =
-                        build_event_driver(m.clone(), cfg.stations, bits, barrier_cfg, None);
+                        build_event_driver(m.clone(), cfg.stations, bits, 1, barrier_cfg, None);
                     let want =
                         serve_traffic(&mut barrier, &traffic, ServeMode::Batched).unwrap();
                     let mut streaming =
-                        build_event_driver(m.clone(), cfg.stations, bits, streaming_cfg, None);
+                        build_event_driver(m.clone(), cfg.stations, bits, 1, streaming_cfg, None);
                     let got =
                         serve_traffic(&mut streaming, &traffic, ServeMode::Batched).unwrap();
                     prop_assert_eq!(&got, &want,
@@ -152,11 +151,11 @@ proptest! {
                     }
 
                     for shards in SHARD_COUNTS {
-                        let mut barrier = build_sharded_event_driver(
+                        let mut barrier = build_event_driver(
                             m.clone(), cfg.stations, bits, shards, barrier_cfg, None);
                         let want =
                             serve_traffic(&mut barrier, &traffic, ServeMode::Batched).unwrap();
-                        let mut streaming = build_sharded_event_driver(
+                        let mut streaming = build_event_driver(
                             m.clone(), cfg.stations, bits, shards, streaming_cfg, None);
                         let got =
                             serve_traffic(&mut streaming, &traffic, ServeMode::Batched).unwrap();
@@ -194,13 +193,13 @@ fn plain_streaming_mode_matches_batched_and_serial() {
         };
         let mut rng = ChaCha8Rng::seed_from_u64(102);
         let traffic = generate_traffic(&cfg, &m, &mut rng);
-        let mut batched = build_server(m.clone(), cfg.stations, cfg.bits_per_value);
+        let mut batched = build_server(m.clone(), cfg.stations, cfg.bits_per_value, 1);
         let want = serve_traffic(&mut batched, &traffic, ServeMode::Batched).unwrap();
-        let mut serial = build_server(m.clone(), cfg.stations, cfg.bits_per_value);
+        let mut serial = build_server(m.clone(), cfg.stations, cfg.bits_per_value, 1);
         let want_serial = serve_traffic(&mut serial, &traffic, ServeMode::Serial).unwrap();
         assert_eq!(want, want_serial);
 
-        let mut streaming = build_server(m.clone(), cfg.stations, cfg.bits_per_value);
+        let mut streaming = build_server(m.clone(), cfg.stations, cfg.bits_per_value, 1);
         streaming.set_streaming(true);
         let got = serve_traffic(&mut streaming, &traffic, ServeMode::Streaming).unwrap();
         assert_eq!(got, want, "plain streaming must equal the barrier closes");
@@ -208,7 +207,7 @@ fn plain_streaming_mode_matches_batched_and_serial() {
             assert_eq!(streaming.feedback_of(id), batched.feedback_of(id));
         }
 
-        let mut sharded = build_sharded_server(m, cfg.stations, cfg.bits_per_value, 4);
+        let mut sharded = build_server(m, cfg.stations, cfg.bits_per_value, 4);
         sharded.set_streaming(true);
         let got = serve_traffic(&mut sharded, &traffic, ServeMode::Streaming).unwrap();
         assert_eq!(got.total_served(), want.total_served());
@@ -236,7 +235,7 @@ fn stalled_shard_does_not_degrade_other_shards_under_streaming() {
         let stall_ns = 15_000_000u64;
 
         let build = |streaming: bool, stall: bool| {
-            let mut server = ShardedApServer::new(4);
+            let mut server = ApServer::with_shards(4);
             let key = server.register_model(m.clone());
             for id in 0..stations {
                 server.register_station(id, key, bits).unwrap();
@@ -257,7 +256,7 @@ fn stalled_shard_does_not_degrade_other_shards_under_streaming() {
         // Barrier, stalled shard 0: the whole round waits for the slowest shard,
         // so every report on every shard pays the 15 ms lag and lands late.
         let mut barrier = build(false, true);
-        let summary = barrier.process_round_deadline(policy).unwrap();
+        let summary = barrier.close(ServeMode::Batched, Some(policy)).unwrap();
         assert_eq!(summary.served, stations as usize);
         assert_eq!(
             (summary.on_time, summary.late),
@@ -270,7 +269,7 @@ fn stalled_shard_does_not_degrade_other_shards_under_streaming() {
 
         // Streaming, stalled shard 0: only shard 0's own reports pay its stall.
         let mut streaming = build(true, true);
-        let summary = streaming.finalize_stream_round(Some(policy)).unwrap();
+        let summary = streaming.close(ServeMode::Streaming, Some(policy)).unwrap();
         assert_eq!(summary.served, stations as usize);
         assert_eq!((summary.on_time, summary.late), (6, 2));
         let stats = streaming.shard_round_stats();
@@ -282,7 +281,7 @@ fn stalled_shard_does_not_degrade_other_shards_under_streaming() {
         // The unstalled streaming run is the reference: healthy shards in the
         // stalled run match it exactly.
         let mut clean = build(true, false);
-        let clean_summary = clean.finalize_stream_round(Some(policy)).unwrap();
+        let clean_summary = clean.close(ServeMode::Streaming, Some(policy)).unwrap();
         assert_eq!(clean_summary.on_time, stations as usize);
         for (idx, s) in clean.shard_round_stats().iter().enumerate().skip(1) {
             assert_eq!(*s, stats[idx]);
@@ -308,7 +307,7 @@ fn empty_shard_micro_batches_do_not_inflate_awaiting_counts() {
     let policy = DeadlinePolicy::eq7d();
 
     let build = |streaming: bool| {
-        let mut server = ShardedApServer::new(4);
+        let mut server = ApServer::with_shards(4);
         let key = server.register_model(m.clone());
         for id in 0..8u64 {
             server.register_station(id, key, bits).unwrap();
@@ -328,9 +327,16 @@ fn empty_shard_micro_batches_do_not_inflate_awaiting_counts() {
     };
 
     let mut barrier = build(false);
-    let want = barrier.process_round_deadline(policy).unwrap();
+    let want = barrier.close(ServeMode::Batched, Some(policy)).unwrap();
+    let shards_with_traffic = |server: &ApServer| {
+        server
+            .shard_round_stats()
+            .iter()
+            .filter(|s| s.had_traffic)
+            .count()
+    };
     assert_eq!(want.awaiting_first_report, 4);
-    assert_eq!(want.shards_with_traffic, 2);
+    assert_eq!(shards_with_traffic(&barrier), 2);
 
     let mut streaming = build(true);
     // Mid-round watermark: arrival 1 ms -> service deadline 11 ms, so the
@@ -339,11 +345,14 @@ fn empty_shard_micro_batches_do_not_inflate_awaiting_counts() {
     for tick in 1..=11u64 {
         streaming.advance_watermark(tick * 1_000_000, 1_000_000, Some(policy));
     }
-    let got = streaming.finalize_stream_round(Some(policy)).unwrap();
+    let got = streaming.close(ServeMode::Streaming, Some(policy)).unwrap();
     assert_eq!(got.served, want.served);
     assert_eq!(got.awaiting_first_report, want.awaiting_first_report);
     assert_eq!(got.stale, want.stale);
-    assert_eq!(got.shards_with_traffic, want.shards_with_traffic);
+    assert_eq!(
+        shards_with_traffic(&streaming),
+        shards_with_traffic(&barrier)
+    );
     let stats = streaming.shard_round_stats();
     assert!(
         stats[0].micro_closes >= 1 && stats[1].micro_closes >= 1,
@@ -383,7 +392,7 @@ fn full_ring_rejects_with_backpressure() {
     );
 
     // The queued frames still serve normally: last committed wins.
-    let summary = server.process_round_streaming(None).unwrap();
+    let summary = server.close(ServeMode::Streaming, None).unwrap();
     assert_eq!(summary.served, 1);
     assert_eq!(server.session(7).unwrap().stream_inflight(), 0);
     assert!(server.feedback_of(7).is_some());
@@ -426,8 +435,12 @@ fn staggered_births_close_in_multiple_micro_batches() {
     // Station 0 was served by the 11 ms watermark — its feedback is already
     // visible mid-round, before the round close.
     assert!(server.feedback_of(0).is_some());
-    let summary = server.process_round_streaming(Some(policy)).unwrap();
-    assert_eq!(server.last_micro_closes(), 2, "two separate micro-closes");
+    let summary = server.close(ServeMode::Streaming, Some(policy)).unwrap();
+    assert_eq!(
+        server.shard_round_stats()[0].micro_closes,
+        2,
+        "two separate micro-closes"
+    );
     assert_eq!(summary.served, 2);
     assert_eq!(summary.batches, 2);
     assert_eq!(summary.on_time, 2);

@@ -22,8 +22,7 @@ use splitbeam::config::{CompressionLevel, SplitBeamConfig};
 use splitbeam::model::SplitBeamModel;
 use splitbeam::quantization::QuantizedFeedback;
 use splitbeam::{QuantizedTail, TailWeights};
-use splitbeam_serve::server::ApServer;
-use splitbeam_serve::ShardedApServer;
+use splitbeam_serve::server::{ApServer, ServeMode};
 use std::sync::Mutex;
 use wifi_phy::channel::{ChannelModel, EnvironmentProfile};
 use wifi_phy::ofdm::{Bandwidth, MimoConfig};
@@ -157,7 +156,7 @@ fn int8_serving_is_bit_exact_across_all_close_paths() {
             let mut serial = ApServer::new();
             let mut streaming = ApServer::new();
             streaming.set_streaming(true);
-            let mut sharded = ShardedApServer::new(3);
+            let mut sharded = ApServer::with_shards(3);
             assert_eq!(sharded.tail_weights(), TailWeights::Int8);
             let bk = batched.register_model(m.clone());
             let sk = serial.register_model(m.clone());
@@ -176,7 +175,7 @@ fn int8_serving_is_bit_exact_across_all_close_paths() {
             }
             batched.process_round().unwrap();
             serial.process_round_serial().unwrap();
-            streaming.process_round_streaming(None).unwrap();
+            streaming.close(ServeMode::Streaming, None).unwrap();
             sharded.process_round().unwrap();
             for id in 0..stations {
                 let want = reference[id as usize].as_slice();

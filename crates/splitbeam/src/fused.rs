@@ -191,7 +191,10 @@ where
         ));
     }
     let mut payloads = payloads;
-    strip.reshape_zeroed(batch, dim);
+    // Every success path dequantizes all `batch` rows of `dim` values (each
+    // payload is checked to carry exactly `dim` codes); every error path
+    // returns before the strip is read. So the memset is skipped.
+    strip.reshape_for_overwrite(batch, dim);
     let mut rows = 0usize;
     // Chunks drive the zip so it never consumes a payload beyond `batch`
     // (zip pulls from its first iterator before checking the second).

@@ -82,6 +82,7 @@ fn main() {
         model,
         sim.stations,
         sim.bits_per_value,
+        1,
         event_cfg,
         Some(&accel),
     );

@@ -36,12 +36,11 @@ pub mod prelude {
     pub use splitbeam_hwsim::delay::DelayBudget;
     pub use splitbeam_hwsim::event::{SeededJitter, SharedMedium};
     pub use splitbeam_serve::driver::{
-        build_server, build_sharded_server, generate_traffic, link_check, serve_traffic,
-        ChurnConfig, RoundServing, ServeMode, SimConfig,
+        build_server, generate_traffic, link_check, serve_traffic, ChurnConfig, RoundServing,
+        ServeMode, SimConfig,
     };
     pub use splitbeam_serve::event::{build_event_driver, EventConfig, EventDriver};
     pub use splitbeam_serve::server::ApServer;
-    pub use splitbeam_serve::shard::ShardedApServer;
     pub use splitbeam_serve::timing::{DeadlinePolicy, FrameClass, FrameStamp};
     pub use wifi_phy::channel::{ChannelModel, ChannelSnapshot, EnvironmentProfile};
     pub use wifi_phy::link::{simulate_mu_mimo_ber, LinkConfig};

@@ -9,7 +9,7 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use splitbeam_repro::prelude::*;
-use splitbeam_repro::serve::event::build_sharded_event_driver;
+use splitbeam_repro::serve::event::build_event_driver;
 use splitbeam_repro::serve::RoundSummary;
 
 fn small_model(seed: u64) -> SplitBeamModel {
@@ -41,13 +41,14 @@ fn lockstep_event_serving_matches_legacy_end_to_end() {
     let mut rng = ChaCha8Rng::seed_from_u64(2);
     let traffic = generate_traffic(&sim, &model, &mut rng);
 
-    let mut legacy = build_server(model.clone(), sim.stations, sim.bits_per_value);
+    let mut legacy = build_server(model.clone(), sim.stations, sim.bits_per_value, 1);
     let want = serve_traffic(&mut legacy, &traffic, ServeMode::Batched).unwrap();
 
     let mut event = build_event_driver(
         model.clone(),
         sim.stations,
         sim.bits_per_value,
+        1,
         EventConfig::lockstep(),
         None,
     );
@@ -58,7 +59,7 @@ fn lockstep_event_serving_matches_legacy_end_to_end() {
     }
 
     // Sharded flavor too, through the same trait-driven loop.
-    let mut sharded = build_sharded_event_driver(
+    let mut sharded = build_event_driver(
         model,
         sim.stations,
         sim.bits_per_value,
@@ -96,6 +97,7 @@ fn timed_serving_invariants_hold_under_any_jitter() {
         model.clone(),
         sim.stations,
         sim.bits_per_value,
+        1,
         cfg,
         Some(&accel),
     );
@@ -148,7 +150,14 @@ fn timed_serving_invariants_hold_under_any_jitter() {
 
     // Determinism: an identical run (same seed, same traffic) is identical,
     // summary for summary.
-    let mut rerun = build_event_driver(model, sim.stations, sim.bits_per_value, cfg, Some(&accel));
+    let mut rerun = build_event_driver(
+        model,
+        sim.stations,
+        sim.bits_per_value,
+        1,
+        cfg,
+        Some(&accel),
+    );
     let outcome2 = serve_traffic(&mut rerun, &traffic, ServeMode::Batched).unwrap();
     let summaries: Vec<RoundSummary> = outcome.summaries.clone();
     assert_eq!(summaries, outcome2.summaries);
@@ -177,6 +186,7 @@ fn expired_reports_interact_correctly_with_staleness() {
         model,
         sim.stations,
         sim.bits_per_value,
+        1,
         EventConfig::lockstep(),
         None,
     );

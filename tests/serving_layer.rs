@@ -66,8 +66,8 @@ fn batched_and_serial_serving_agree_end_to_end() {
     let mut rng = ChaCha8Rng::seed_from_u64(4);
     let traffic: SimTraffic = generate_traffic(&sim, &model, &mut rng);
 
-    let mut batched = build_server(model.clone(), sim.stations, sim.bits_per_value);
-    let mut serial = build_server(model, sim.stations, sim.bits_per_value);
+    let mut batched = build_server(model.clone(), sim.stations, sim.bits_per_value, 1);
+    let mut serial = build_server(model, sim.stations, sim.bits_per_value, 1);
     let b = serve_traffic(&mut batched, &traffic, ServeMode::Batched).unwrap();
     let s = serve_traffic(&mut serial, &traffic, ServeMode::Serial).unwrap();
     assert_eq!(b, s, "round summaries diverged");

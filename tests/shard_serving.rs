@@ -1,14 +1,11 @@
-//! Cross-crate integration test of the sharded AP serving layer: bit-exact
-//! parity with the single-shard server through the façade, the
-//! `SPLITBEAM_SHARDS` environment knob, and session lifecycle under churn.
-//!
-//! CI runs this suite under `SPLITBEAM_SHARDS=1` and `SPLITBEAM_SHARDS=4`, so
-//! the env-resolved path is exercised at both extremes.
+//! Cross-crate integration test of sharded AP serving: bit-exact parity of
+//! every shard count with the single-shard batched and serial references
+//! through the façade, and session lifecycle under churn.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use splitbeam_repro::prelude::*;
-use splitbeam_repro::serve::{env_shards, ServeError};
+use splitbeam_repro::serve::ServeError;
 
 fn small_model(seed: u64) -> SplitBeamModel {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -19,52 +16,6 @@ fn small_model(seed: u64) -> SplitBeamModel {
         ),
         &mut rng,
     )
-}
-
-#[test]
-fn env_resolved_shard_count_serves_bit_exactly() {
-    let model = small_model(1);
-    let sim = SimConfig {
-        stations: 8,
-        rounds: 3,
-        bits_per_value: 4,
-        drop_every: 5,
-        churn: ChurnConfig {
-            join_every: 2,
-            leave_every: 3,
-            burst_every: 0,
-        },
-        ..SimConfig::default()
-    };
-    let mut rng = ChaCha8Rng::seed_from_u64(2);
-    let traffic = generate_traffic(&sim, &model, &mut rng);
-
-    let mut single = build_server(model.clone(), sim.stations, sim.bits_per_value);
-    let reference = serve_traffic(&mut single, &traffic, ServeMode::Batched).unwrap();
-
-    // The env-resolved shard count (SPLITBEAM_SHARDS when set, parallelism
-    // otherwise) must produce identical results to the single-shard server.
-    let shards = env_shards();
-    assert!(shards >= 1);
-    let mut sharded = ShardedApServer::from_env();
-    assert_eq!(sharded.num_shards(), shards);
-    let key = sharded.register_model(model.clone());
-    for id in 0..sim.stations as u64 {
-        sharded
-            .register_station(id, key, sim.bits_per_value)
-            .unwrap();
-    }
-    let outcome = serve_traffic(&mut sharded, &traffic, ServeMode::Batched).unwrap();
-    assert_eq!(outcome.total_served(), reference.total_served());
-    assert_eq!(outcome.joins, traffic.total_joins());
-    assert_eq!(outcome.leaves, traffic.total_leaves());
-    for id in 0..traffic.max_station_id {
-        assert_eq!(
-            sharded.feedback_of(id),
-            single.feedback_of(id),
-            "station {id} under {shards} env shards"
-        );
-    }
 }
 
 #[test]
@@ -84,14 +35,13 @@ fn sharded_sweep_matches_batched_and_serial_references() {
     };
     let mut rng = ChaCha8Rng::seed_from_u64(4);
     let traffic = generate_traffic(&sim, &model, &mut rng);
-    let mut batched = build_server(model.clone(), sim.stations, sim.bits_per_value);
-    let mut serial = build_server(model.clone(), sim.stations, sim.bits_per_value);
+    let mut batched = build_server(model.clone(), sim.stations, sim.bits_per_value, 1);
+    let mut serial = build_server(model.clone(), sim.stations, sim.bits_per_value, 1);
     let b = serve_traffic(&mut batched, &traffic, ServeMode::Batched).unwrap();
     let s = serve_traffic(&mut serial, &traffic, ServeMode::Serial).unwrap();
     assert_eq!(b, s, "single-shard batched vs serial");
     for shards in [1usize, 2, 4, 7] {
-        let mut sharded =
-            build_sharded_server(model.clone(), sim.stations, sim.bits_per_value, shards);
+        let mut sharded = build_server(model.clone(), sim.stations, sim.bits_per_value, shards);
         let o = serve_traffic(&mut sharded, &traffic, ServeMode::Batched).unwrap();
         assert_eq!(o.total_served(), b.total_served(), "{shards} shards");
         for id in 0..traffic.max_station_id {
@@ -112,7 +62,7 @@ fn sharded_sweep_matches_batched_and_serial_references() {
 #[test]
 fn lifecycle_capacity_eviction_and_reregistration() {
     let model = small_model(5);
-    let mut server = ShardedApServer::new(3);
+    let mut server = ApServer::with_shards(3);
     let key = server.register_model(model.clone());
     server.set_capacity(Some(3));
     for id in 0..3u64 {
@@ -149,12 +99,16 @@ fn lifecycle_capacity_eviction_and_reregistration() {
         server.ingest_wire(id, &f).unwrap();
     }
     let r0 = server.process_round().unwrap();
-    assert_eq!((r0.served, r0.evicted), (3, 0));
+    assert_eq!((r0.served, server.evicted_in_last_round()), (3, 0));
     let f = frame_for(&mut rng);
     server.ingest_wire(0, &f).unwrap();
     let r1 = server.process_round().unwrap();
     assert_eq!(r1.served, 1);
-    assert_eq!(r1.evicted, 2, "stations 2 and 3 exceeded the idle budget");
+    assert_eq!(
+        server.evicted_in_last_round(),
+        2,
+        "stations 2 and 3 exceeded the idle budget"
+    );
     assert_eq!(server.station_ids(), vec![0]);
     // Clean re-registration after eviction.
     server.register_station(2, key, 4).unwrap();
